@@ -27,7 +27,6 @@ disk-backed spaces — belong here and nowhere else.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.core.lts import LabelledArc, Lts
@@ -40,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard import
 __all__ = [
     "DEFAULT_MAX_STATES",
     "PROGRESS_INTERVAL",
-    "BatchSuccessorFn",
     "Exploration",
     "SuccessorFn",
     "emit_progress",
@@ -59,14 +57,6 @@ PROGRESS_INTERVAL = 1_000
 
 #: A successor function: state -> iterable of (action, rate, target).
 SuccessorFn = Callable[[Any], Iterable[tuple[str, float, Any]]]
-
-#: A batched successor function: a whole BFS level of states -> one
-#: successor list per state, aligned with the input.  Lets a formalism
-#: amortise per-state work (memoised SOS derivation, vectorised rate
-#: evaluation) across the level instead of paying it per call.
-BatchSuccessorFn = Callable[
-    [list[Any]], Iterable[Iterable[tuple[str, float, Any]]]
-]
 
 
 def emit_progress(events, stage: str, explored: int, frontier: int,
@@ -116,7 +106,6 @@ def explore_lts(
     adjust_successor: Callable[[Any, int, Exploration], Any] | None = None,
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
     progress_interval: int | None = None,
-    successors_batch: BatchSuccessorFn | None = None,
 ) -> Lts:
     """Breadth-first exploration of the reachable state space.
 
@@ -136,15 +125,10 @@ def explore_lts(
     Petri unboundedness check).  Providing either enables parent-chain
     tracking on the :class:`Exploration` they receive.
 
-    ``successors_batch`` switches the kernel to level-batched BFS: the
-    whole current frontier is handed to the callable in one call and the
-    results are expanded in frontier order.  Because a state discovered
-    while expanding level *k* always lands behind every remaining
-    level-*k* state, the interleaving is exactly the serial FIFO one —
-    discovery order, arc order, overflow point and progress cadence are
-    bit-identical to the per-state path; only the per-call overhead is
-    amortised.  ``successors`` is ignored while a batch function is
-    supplied (it remains the fallback contract for hooks and docs).
+    States may be any hashable key.  The PEPA and PEPA-net layers pass
+    tuples of local-state indices from a compiled model (see
+    :mod:`repro.pepa.compiled`), so interning hashes a few small ints
+    rather than an expression tree.
 
     States are interned in discovery order — the returned
     :class:`~repro.core.lts.Lts` numbers the initial state 0 and lists
@@ -154,7 +138,6 @@ def explore_lts(
     index: dict[Hashable, int] = {initial: 0}
     states: list[Any] = [initial]
     arcs: list[LabelledArc] = []
-    queue: deque[Any] = deque([initial])
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
     track_parents = adjust_successor is not None or on_new_state is not None
@@ -165,11 +148,17 @@ def explore_lts(
     attrs["max_states"] = max_states
     with get_tracer().span(stage, **attrs) as sp:
 
-        def expand(src: int, succ: Iterable[tuple[str, float, Any]],
-                   pending: int) -> None:
-            """Intern one state's successors (``pending`` = frontier
-            states still waiting behind this one, for the vital signs)."""
-            for action, rate, target in succ:
+        # FIFO order is discovery order, so the queue is just a cursor
+        # into ``states``: the frontier is everything behind it.
+        src = -1
+        while src + 1 < len(states):
+            src += 1
+            if budget is not None:
+                budget.checkpoint(
+                    stage=budget_stage, explored=len(states),
+                    frontier=len(states) - src - 1,
+                )
+            for action, rate, target in successors(states[src]):
                 if adjust_successor is not None:
                     target = adjust_successor(target, src, exploration)
                 tgt = index.get(target)
@@ -185,38 +174,13 @@ def explore_lts(
                     tgt = len(states)
                     index[target] = tgt
                     states.append(target)
-                    queue.append(target)
                     if exploration is not None:
                         exploration.parent[tgt] = src
                     if events.enabled and tgt % interval == 0:
                         emit_progress(
-                            events, stage, len(states), len(queue) + pending, start
+                            events, stage, len(states), len(states) - src - 1, start
                         )
                 arcs.append(LabelledArc(src, action, rate, tgt))
-
-        if successors_batch is None:
-            while queue:
-                state = queue.popleft()
-                src = index[state]
-                if budget is not None:
-                    budget.checkpoint(
-                        stage=budget_stage, explored=len(states), frontier=len(queue)
-                    )
-                expand(src, successors(state), 0)
-        else:
-            while queue:
-                level = list(queue)
-                queue.clear()
-                batched = successors_batch(level)
-                for pos, (state, succ) in enumerate(zip(level, batched)):
-                    pending = len(level) - pos - 1
-                    src = index[state]
-                    if budget is not None:
-                        budget.checkpoint(
-                            stage=budget_stage, explored=len(states),
-                            frontier=len(queue) + pending,
-                        )
-                    expand(src, succ, pending)
         sp.set(**{span_count_key: len(states), "arcs": len(arcs)})
     if events.enabled:
         emit_progress(events, stage, len(states), 0, start)

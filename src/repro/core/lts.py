@@ -14,14 +14,21 @@ Accessors that need per-state or per-action lookups (``successors``,
 index**: the first such call groups the arc list by source and by
 action in one O(arcs) pass, after which every lookup is O(out-degree)
 / O(1) instead of a full-arc-list scan per call.
+
+An LTS explored over compact state *keys* (the local-state index
+vectors of a compiled model) carries a :class:`StateCodec`: ``keys``
+are what the exploration interned, and the domain objects in
+``states`` (with their ``index``) are decoded from them only when
+first asked for.  ``state_label`` asks the codec directly, so building
+a chain's labels never materialises a per-state domain object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterator, Protocol
 
-__all__ = ["LabelledArc", "Lts"]
+__all__ = ["LabelledArc", "Lts", "StateCodec"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,17 @@ class LabelledArc:
     target: int
 
 
+class StateCodec(Protocol):
+    """Turns the compact state keys an exploration interned back into
+    domain objects (``decode``) and their printed form (``label``)."""
+
+    def decode(self, key: Any) -> Any:
+        """The domain object a state key stands for."""
+
+    def label(self, key: Any) -> str:
+        """``str`` of the decoded object, possibly without decoding."""
+
+
 class Lts:
     """Interned states + labelled arcs with lazy, built-once adjacency.
 
@@ -45,6 +63,10 @@ class Lts:
     labelled transitions between state indices; ``index`` maps each
     state object back to its index.  The initial state is always 0 —
     every exploration starts numbering from its root.
+
+    With a ``codec``, the ``states`` argument holds the compact keys the
+    exploration interned (kept as :attr:`keys`); ``states`` and
+    ``index`` are then decoded once, on first access.
 
     The adjacency index is constructed at most once per instance, on
     the first call that needs it (:attr:`adjacency_builds` counts the
@@ -58,16 +80,35 @@ class Lts:
         states: list[Any],
         arcs: list[LabelledArc],
         index: dict[Hashable, int] | None = None,
+        *,
+        codec: StateCodec | None = None,
     ):
-        self.states = states
+        #: The interned state keys: the domain objects themselves, or
+        #: the compact keys ``codec`` decodes.
+        self.keys = states
+        self.codec = codec
         self.arcs = arcs
-        self.index: dict[Hashable, int] = (
-            {s: i for i, s in enumerate(states)} if index is None else index
-        )
+        self._states = states if codec is None else None
+        self._index = index
         self._out: list[list[LabelledArc]] | None = None
         self._by_action: dict[str, list[LabelledArc]] | None = None
         #: How many times the adjacency index has been built (0 or 1).
         self.adjacency_builds = 0
+
+    @property
+    def states(self) -> list[Any]:
+        """The domain object of every state, in discovery order."""
+        if self._states is None:
+            decode = self.codec.decode
+            self._states = [decode(key) for key in self.keys]
+        return self._states
+
+    @property
+    def index(self) -> dict[Hashable, int]:
+        """Domain object -> state index (built on first access)."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.states)}
+        return self._index
 
     # ------------------------------------------------------------------
     # Plain accessors
@@ -78,14 +119,14 @@ class Lts:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     def __repr__(self) -> str:
         return (
-            f"{type(self).__name__}(states={len(self.states)}, "
+            f"{type(self).__name__}(states={len(self.keys)}, "
             f"arcs={len(self.arcs)})"
         )
 
@@ -95,13 +136,15 @@ class Lts:
 
     def state_label(self, i: int) -> str:
         """Human-readable rendering of state ``i``."""
+        if self.codec is not None:
+            return self.codec.label(self.keys[i])
         return str(self.states[i])
 
     # ------------------------------------------------------------------
     # Indexed accessors — O(out-degree) after a one-time O(arcs) build
     # ------------------------------------------------------------------
     def _build_adjacency(self) -> None:
-        out: list[list[LabelledArc]] = [[] for _ in range(len(self.states))]
+        out: list[list[LabelledArc]] = [[] for _ in range(len(self.keys))]
         by_action: dict[str, list[LabelledArc]] = {}
         for arc in self.arcs:
             out[arc.source].append(arc)

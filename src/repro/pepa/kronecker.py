@@ -8,13 +8,16 @@ products and apparent-rate scale factors — so the solver stack can run
 matrix-free (:class:`repro.ctmc.operator.KroneckerDescriptor`) instead
 of materialising the global CSR matrix.
 
-The construction walks the system tree bottom-up, carrying one
-*action block* per action type per subtree:
+The component tree and its local automata are those of the compiled
+model (:class:`repro.pepa.compiled.CompiledModel`) — the same IR the
+exact exploration runs on.  The construction walks that tree bottom-up,
+carrying one *action block* per action type per subtree:
 
 * **Leaf** (any non-cooperation subtree — a sequential component, a
   cell, a constant): the local derivative closure is explored
-  independently, giving per-action active rate matrices ``R[a]`` and
-  passive weight matrices ``W[a]`` over the local states.
+  independently over the leaf's automaton, giving per-action active
+  rate matrices ``R[a]`` and passive weight matrices ``W[a]`` over the
+  local states.
 * **Interleaving** (``a`` outside the cooperation set): blocks simply
   concatenate — the subtrees act on disjoint positions.
 * **Synchronisation** (``a`` in the cooperation set): the blocks
@@ -46,18 +49,16 @@ apparent-rate bookkeeping survives them).
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.lts import Lts
 from repro.ctmc.chain import CTMC
 from repro.ctmc.operator import DescriptorUnsupported, KroneckerDescriptor, KroneckerTerm
+from repro.pepa.compiled import CompiledModel, HideNode, Leaf, Node
 from repro.pepa.environment import Environment
-from repro.pepa.semantics import derivatives
-from repro.pepa.syntax import TAU, Cooperation, Expression, Hiding
+from repro.pepa.syntax import TAU, Expression
 
 __all__ = ["build_descriptor", "descriptor_chain", "DescriptorUnsupported"]
 
@@ -77,80 +78,42 @@ MAX_TERMS = 5_000
 
 
 # ---------------------------------------------------------------------------
-# Component tree
+# Leaf closures
 # ---------------------------------------------------------------------------
 @dataclass
-class _LeafNode:
-    pos: int
-    root: Expression
-    states: list[Expression] = field(default_factory=list)
-    index: dict[Expression, int] = field(default_factory=dict)
+class _Closure:
+    """One leaf's local state space: ``order[k]`` is the table index of
+    local state ``k`` (BFS order from the leaf's initial state) and
+    ``where`` maps table indices back to ``k``."""
+
+    leaf: Leaf
+    order: list[int]
+    where: dict[int, int]
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.order)
 
 
-@dataclass
-class _CoopNode:
-    left: "_TreeNode"
-    right: "_TreeNode"
-    actions: frozenset[str]
-    size: int = 0
-
-
-@dataclass
-class _HideNode:
-    child: "_TreeNode"
-    actions: frozenset[str]
-    size: int = 0
-
-
-_TreeNode = Union[_LeafNode, _CoopNode, _HideNode]
-
-
-def _contains_cooperation(expr: Expression) -> bool:
-    if isinstance(expr, Cooperation):
-        return True
-    if isinstance(expr, Hiding):
-        return _contains_cooperation(expr.expr)
-    return False
-
-
-def _split(expr: Expression, leaves: list[_LeafNode]) -> _TreeNode:
-    """Split the system expression at cooperation combinators; every
-    other subtree becomes a leaf component."""
-    if isinstance(expr, Cooperation):
-        return _CoopNode(_split(expr.left, leaves), _split(expr.right, leaves), expr.actions)
-    if isinstance(expr, Hiding) and _contains_cooperation(expr.expr):
-        return _HideNode(_split(expr.expr, leaves), expr.actions)
-    leaf = _LeafNode(pos=len(leaves), root=expr)
-    leaves.append(leaf)
-    return leaf
-
-
-def _explore_leaf(leaf: _LeafNode, env: Environment, max_local_states: int) -> list[list]:
+def _close_leaf(leaf: Leaf, max_local_states: int) -> _Closure:
     """Independent BFS closure of one component's derivatives.  The
     closure is a superset of the states the component visits inside the
     full system, which is exactly what the product embedding needs."""
-    leaf.states = [leaf.root]
-    leaf.index = {leaf.root: 0}
-    moves: list[list] = []
-    queue: deque[Expression] = deque([leaf.root])
-    while queue:
-        state = queue.popleft()
-        transitions = derivatives(state, env)
-        moves.append(transitions)
-        for t in transitions:
-            if t.target not in leaf.index:
-                if len(leaf.states) >= max_local_states:
+    rows = leaf.table.rows
+    order = [leaf.initial]
+    where = {leaf.initial: 0}
+    k = 0
+    while k < len(order):
+        for _, _, (j,) in rows(order[k]):
+            if j not in where:
+                if len(order) >= max_local_states:
                     raise DescriptorUnsupported(
                         f"component state space exceeds {max_local_states} states"
                     )
-                leaf.index[t.target] = len(leaf.states)
-                leaf.states.append(t.target)
-                queue.append(t.target)
-    return moves
+                where[j] = len(order)
+                order.append(j)
+        k += 1
+    return _Closure(leaf, order, where)
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +137,21 @@ class _Block:
     parts: tuple[tuple[int, np.ndarray], ...] | None
 
 
-def _leaf_blocks(leaf: _LeafNode, moves: list[list]) -> dict[str, _Block]:
-    d = leaf.size
+def _leaf_blocks(closure: _Closure) -> dict[str, _Block]:
+    d = closure.size
+    pos = closure.leaf.pos
+    rows, where = closure.leaf.table.rows, closure.where
     rate_mats: dict[str, np.ndarray] = {}
     weight_mats: dict[str, np.ndarray] = {}
-    for i, transitions in enumerate(moves):
-        for t in transitions:
-            j = leaf.index[t.target]
-            if t.rate.is_passive():
-                mat = weight_mats.setdefault(t.action, np.zeros((d, d)))
-                mat[i, j] += t.rate.weight
+    for i, state in enumerate(closure.order):
+        for action, rate, (target,) in rows(state):
+            j = where[target]
+            if rate.is_passive():
+                mat = weight_mats.setdefault(action, np.zeros((d, d)))
+                mat[i, j] += rate.weight
             else:
-                mat = rate_mats.setdefault(t.action, np.zeros((d, d)))
-                mat[i, j] += t.rate.value
+                mat = rate_mats.setdefault(action, np.zeros((d, d)))
+                mat[i, j] += rate.value
     blocks: dict[str, _Block] = {}
     for action in sorted(set(rate_mats) | set(weight_mats)):
         active = rate_mats.get(action)
@@ -197,15 +162,11 @@ def _leaf_blocks(leaf: _LeafNode, moves: list[list]) -> dict[str, _Block]:
             blocks[action] = _Block([], "mixed", None)
         elif active is not None:
             blocks[action] = _Block(
-                [_Term(1.0, {leaf.pos: active})],
-                "active",
-                ((leaf.pos, active.sum(axis=1)),),
+                [_Term(1.0, {pos: active})], "active", ((pos, active.sum(axis=1)),)
             )
         else:
             blocks[action] = _Block(
-                [_Term(1.0, {leaf.pos: passive})],
-                "passive",
-                ((leaf.pos, passive.sum(axis=1)),),
+                [_Term(1.0, {pos: passive})], "passive", ((pos, passive.sum(axis=1)),)
             )
     return blocks
 
@@ -299,11 +260,11 @@ def _synchronise(action: str, left: _Block, right: _Block) -> _Block:
 
 
 def _tree_blocks(
-    node: _TreeNode, leaf_blocks: dict[int, dict[str, _Block]]
+    node: Node, leaf_blocks: dict[int, dict[str, _Block]]
 ) -> dict[str, _Block]:
-    if isinstance(node, _LeafNode):
+    if isinstance(node, Leaf):
         return dict(leaf_blocks[node.pos])
-    if isinstance(node, _HideNode):
+    if isinstance(node, HideNode):
         child = _tree_blocks(node.child, leaf_blocks)
         out = {a: b for a, b in child.items() if a not in node.actions}
         hidden = [child[a] for a in sorted(child) if a in node.actions]
@@ -335,40 +296,54 @@ def _tree_blocks(
 # ---------------------------------------------------------------------------
 # Projection + entry points
 # ---------------------------------------------------------------------------
-def _annotate_sizes(node: _TreeNode) -> int:
-    if isinstance(node, _LeafNode):
-        return node.size
-    if isinstance(node, _HideNode):
-        node.size = _annotate_sizes(node.child)
-        return node.size
-    node.size = _annotate_sizes(node.left) * _annotate_sizes(node.right)
-    return node.size
+def _compiled(space: Lts, environment: Environment) -> tuple[CompiledModel, list]:
+    """The compiled model of a PEPA derivation space and its states'
+    index tuples: the exploring model when the space carries one, else
+    (a space read back from the derivation cache) a fresh compile of
+    state 0 with every state encoded against it."""
+    codec = space.codec
+    if (
+        isinstance(codec, CompiledModel)
+        and codec.table.env is environment
+        and not codec.table.exclude
+    ):
+        return codec, space.keys
+    system = space.states[0]
+    if not isinstance(system, Expression):
+        raise DescriptorUnsupported("not a PEPA derivation state space")
+    return CompiledModel(system, environment), None
 
 
-def _project(state: Expression, node: _TreeNode) -> int:
-    """Map a global derivative onto its product-space index by walking
-    the component tree in step with the state's syntactic shape."""
-    if isinstance(node, _CoopNode):
-        if not isinstance(state, Cooperation) or state.actions != node.actions:
+def _project(
+    model: CompiledModel, space: Lts, vectors: list | None, closures: list[_Closure]
+) -> np.ndarray:
+    """Map every reachable state onto its product-space index: the
+    mixed-radix number of its leaves' closure positions."""
+    if vectors is None:
+        vectors = []
+        for state in space.states:
+            try:
+                vectors.append(model.encode(state))
+            except ValueError:
+                raise DescriptorUnsupported(
+                    "reachable state no longer matches the system equation shape"
+                ) from None
+            except KeyError:
+                raise DescriptorUnsupported(
+                    "reachable state outside the component's local closure"
+                ) from None
+    table = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), len(closures))
+    projection = np.zeros(len(vectors), dtype=np.int64)
+    for column, closure in enumerate(closures):
+        lookup = np.full(len(closure.leaf.table), -1, dtype=np.int64)
+        lookup[closure.order] = np.arange(closure.size)
+        local = lookup[table[:, column]]
+        if (local < 0).any():
             raise DescriptorUnsupported(
-                "reachable state no longer matches the system equation shape"
+                "reachable state outside the component's local closure"
             )
-        return (
-            _project(state.left, node.left) * node.right.size
-            + _project(state.right, node.right)
-        )
-    if isinstance(node, _HideNode):
-        if not isinstance(state, Hiding) or state.actions != node.actions:
-            raise DescriptorUnsupported(
-                "reachable state no longer matches the system equation shape"
-            )
-        return _project(state.expr, node.child)
-    try:
-        return node.index[state]
-    except KeyError:
-        raise DescriptorUnsupported(
-            "reachable state outside the component's local closure"
-        ) from None
+        projection = projection * closure.size + local
+    return projection
 
 
 def build_descriptor(
@@ -389,17 +364,10 @@ def build_descriptor(
     """
     if space.size == 0:
         raise DescriptorUnsupported("empty state space")
-    system = space.states[0]
-    if not isinstance(system, Expression):
-        raise DescriptorUnsupported("not a PEPA derivation state space")
+    model, vectors = _compiled(space, environment)
 
-    leaves: list[_LeafNode] = []
-    root = _split(system, leaves)
-
-    leaf_moves = {
-        leaf.pos: _explore_leaf(leaf, environment, max_local_states) for leaf in leaves
-    }
-    dims = tuple(leaf.size for leaf in leaves)
+    closures = [_close_leaf(leaf, max_local_states) for leaf in model.leaves]
+    dims = tuple(closure.size for closure in closures)
     product_size = 1
     for d in dims:
         product_size *= d
@@ -413,8 +381,9 @@ def build_descriptor(
             f"({space.size}); shuffle SpMV would lose to CSR"
         )
 
-    blocks = _tree_blocks(root, {pos: _leaf_blocks(leaves[pos], moves)
-                                 for pos, moves in leaf_moves.items()})
+    blocks = _tree_blocks(
+        model.root, {closure.leaf.pos: _leaf_blocks(closure) for closure in closures}
+    )
 
     terms: list[KroneckerTerm] = []
     for action in sorted(blocks):
@@ -433,10 +402,7 @@ def build_descriptor(
     if len(terms) > MAX_TERMS:
         raise DescriptorUnsupported(f"descriptor needs {len(terms)} terms (> {MAX_TERMS})")
 
-    _annotate_sizes(root)
-    projection = np.empty(space.size, dtype=np.int64)
-    for i, state in enumerate(space.states):
-        projection[i] = _project(state, root)
+    projection = _project(model, space, vectors, closures)
 
     try:
         return KroneckerDescriptor(dims, terms, projection)

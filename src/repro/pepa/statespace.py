@@ -11,18 +11,21 @@ Exploration runs on the shared breadth-first kernel
 (:func:`repro.core.explore.explore_lts`) with a configurable state
 bound — the paper is explicit that susceptibility to state-space
 explosion is the price of exact numerical solution, so we surface the
-bound as a first-class error instead of letting memory blow up.
+bound as a first-class error instead of letting memory blow up.  The
+kernel walks tuples of local-state indices of the compiled model
+(:mod:`repro.pepa.compiled`); the expressions are rebuilt from them
+only when ``states`` is first read.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.lts import LabelledArc, Lts
 from repro.exceptions import WellFormednessError
+from repro.pepa.compiled import CompiledModel
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.semantics import Transition, TransitionCache
 from repro.pepa.syntax import Expression
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard import
@@ -37,7 +40,10 @@ class StateSpace(Lts):
     ``states[i]`` is the expression for state ``i``; ``arcs`` is the
     multiset of labelled transitions; ``initial`` is always 0.  All
     accessors (``successors``, ``arcs_by_action``, ``deadlocks``,
-    ``actions``, ...) come from :class:`repro.core.lts.Lts`.
+    ``actions``, ...) come from :class:`repro.core.lts.Lts`.  An explored
+    space keeps the index tuples as ``keys`` and its
+    :class:`~repro.pepa.compiled.CompiledModel` as ``codec``; one read
+    back from the derivation cache holds the expressions themselves.
     """
 
     states: list[Expression]
@@ -68,52 +74,41 @@ def explore(
     frontier size and a resumable summary is raised instead of the
     search silently grinding on.
 
-    Successors are produced level-batched through a
-    :class:`~repro.pepa.semantics.TransitionCache`: the one-step
-    transitions and apparent rates of every *subexpression* are memoised
-    across the whole exploration, so a global state pays only for the
-    component that actually moved since its parent.
+    The system is compiled once (:class:`~repro.pepa.compiled.CompiledModel`)
+    and the kernel explores tuples of local-state indices; discovery
+    order, arcs and rates are those of the SOS derivation
+    (:func:`~repro.pepa.semantics.derivatives`) on the expressions.
     """
-    cache = TransitionCache(env, exclude)
+    model = CompiledModel(initial, env, exclude=exclude)
 
-    def successors(state: Expression) -> Iterator[tuple[str, float, Expression]]:
-        for tr in cache.derivatives(state):
-            _require_active(tr, state)
-            yield tr.action, tr.rate.value, tr.target
-
-    def successors_batch(
-        level: list[Expression],
-    ) -> Iterator[list[tuple[str, float, Expression]]]:
-        for state in level:
-            yield [
-                (tr.action, tr.rate.value, tr.target)
-                for tr in cache.derivatives(state)
-                if _require_active(tr, state) is None
-            ]
+    def successors(v: tuple[int, ...]) -> list[tuple[str, float, tuple[int, ...]]]:
+        out = []
+        for action, rate, target in model.moves(v):
+            if rate.is_passive():
+                raise WellFormednessError(
+                    f"activity ({action}, {rate}) of state {model.label(v)} is passive "
+                    "at the top level: the system equation leaves it without an "
+                    "active partner"
+                )
+            out.append((action, rate.value, target))
+        return out
 
     lts = explore_lts(
-        initial,
+        model.initial,
         successors,
         stage="pepa.statespace",
         budget_stage="pepa state space",
         max_states=max_states,
         budget=budget,
         overflow=_overflow,
-        successors_batch=successors_batch,
     )
-    return StateSpace(states=lts.states, arcs=lts.arcs, index=lts.index)
-
-
-def _require_active(tr: Transition, state: Expression) -> None:
-    if tr.rate.is_passive():
-        raise WellFormednessError(
-            f"activity ({tr.action}, {tr.rate}) of state {state} is passive at the "
-            "top level: the system equation leaves it without an active partner"
-        )
+    model.forget_moves()
+    return StateSpace(lts.keys, lts.arcs, codec=model)
 
 
 #: Payload schema of cached PEPA state spaces; bump on layout changes.
-CACHE_SCHEMA = "repro-statespace/1"
+#: ``/2``: pickled expressions leave out their per-process cached hash.
+CACHE_SCHEMA = "repro-statespace/2"
 
 
 def derive(

@@ -22,7 +22,7 @@ letter; the parser enforces this, the AST does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import WellFormednessError
 from repro.pepa.rates import Rate
@@ -57,24 +57,33 @@ class _CachedHash:
     exploration; the dataclass-generated ``__hash__`` walks the whole
     subtree on every call, which profiling showed to be ~25 % of
     derivation time.  Caching the value on first use (legal: nodes are
-    immutable) makes repeated lookups O(1).
+    immutable) makes repeated lookups O(1).  The field names each class
+    hashes are fixed once, when the node classes are set up, so a first
+    hash does no dataclass reflection.
+
+    The cached value depends on the process's string-hash seed, so it is
+    left out of the pickled state: a node read back in another process
+    (a derivation-cache hit) hashes afresh and finds its equal in dicts.
     """
 
+    #: Per-class field names, installed below the class definitions.
+    _hash_fields: tuple[str, ...] = ()
+    _hash_cache = None
+
     def __hash__(self) -> int:
-        try:
-            return self._hash_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((type(self).__name__,) + tuple(
-                getattr(self, f.name) for f in _fields(self)
+        value = self._hash_cache
+        if value is None:
+            cls = type(self)
+            value = hash((cls.__name__,) + tuple(
+                [getattr(self, name) for name in cls._hash_fields]
             ))
             object.__setattr__(self, "_hash_cache", value)
-            return value
+        return value
 
-
-def _fields(obj):
-    from dataclasses import fields
-
-    return fields(obj)
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -201,9 +210,11 @@ class Cell(Expression):
 
 
 # @dataclass(frozen=True) regenerates __hash__ on every subclass, which
-# would shadow the caching mixin; install the cached version explicitly.
+# would shadow the caching mixin; install the cached version explicitly,
+# together with the field names it hashes.
 for _cls in (Prefix, Choice, Const, Cooperation, Hiding, Cell):
     _cls.__hash__ = _CachedHash.__hash__  # type: ignore[method-assign]
+    _cls._hash_fields = tuple(f.name for f in fields(_cls))
 
 
 def _paren(expr: Expression) -> str:

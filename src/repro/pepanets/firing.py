@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.exceptions import RateError, WellFormednessError
 from repro.pepa.environment import Environment
@@ -109,13 +110,23 @@ def vacant_cells(place_expr: Expression) -> list[tuple[CellPath, Cell]]:
     return [(path, cell) for path, cell in find_cells(place_expr) if cell.content is None]
 
 
-def _place_apparent_rate(
-    eligibles: list[tuple[CellPath, Cell, Transition]], place: str, action: str
-) -> Rate:
+#: A token able to fire, as :func:`_token_combinations` sees it:
+#: ``(cell key, activity rate, token)``.  The cell key names the
+#: physical cell (one cell cannot supply two tokens); the token is the
+#: caller's own handle, passed through into the combinations.
+Eligible = tuple[Hashable, Rate, Any]
+
+#: A vacant cell, as :func:`_output_mappings` sees it: ``(cell key,
+#: family)``.  Cell keys are unique and sort like the ``(place, path)``
+#: they stand for, which fixes the order of the mappings.
+Vacant = tuple[Any, str]
+
+
+def _place_apparent_rate(rates: Iterable[Rate], place: str, action: str) -> Rate:
     total: Rate | None = None
-    for _, _, tr in eligibles:
+    for rate in rates:
         try:
-            total = tr.rate if total is None else rate_sum(total, tr.rate)
+            total = rate if total is None else rate_sum(total, rate)
         except RateError:
             raise WellFormednessError(
                 f"place {place!r} mixes active and passive tokens for firing "
@@ -126,49 +137,50 @@ def _place_apparent_rate(
 
 
 def _token_combinations(
-    net: PepaNet, marking: NetMarking, spec: NetTransitionSpec, env: Environment
+    spec: NetTransitionSpec, eligible_of: Callable[[str], list[Eligible]]
 ) -> tuple[list[tuple[tuple, float]], dict[str, Rate]]:
     """All token selections plus per-place apparent rates.
 
-    Each entry is ``(combo, share)``: a tuple over input slots of
-    ``(place, path, Transition)`` together with its probabilistic share
-    of the firing rate.  When a place appears once, the share is the
-    classic apparent-rate ratio ``r_i / a_p``.  When a transition draws
-    ``k`` tokens from one place (Definition 1 has single input places;
-    multi-arc transitions are our conservative generalisation),
-    selections are *unordered* ``k``-subsets of distinct cells, weighted
-    by the normalised product of their activity rates — which reduces to
-    the ratio rule at ``k = 1`` and never double-counts a physical
-    selection.
+    ``eligible_of(place)`` lists the place's tokens with a one-step
+    ``spec.action``-derivative, in cell order.  Each entry of the result
+    is ``(combo, share)``: a tuple over input slots of the chosen
+    tokens together with its probabilistic share of the firing rate.
+    When a place appears once, the share is the classic apparent-rate
+    ratio ``r_i / a_p``.  When a transition draws ``k`` tokens from one
+    place (Definition 1 has single input places; multi-arc transitions
+    are our conservative generalisation), selections are *unordered*
+    ``k``-subsets of distinct cells, weighted by the normalised product
+    of their activity rates — which reduces to the ratio rule at
+    ``k = 1`` and never double-counts a physical selection.
     """
     apparent: dict[str, Rate] = {}
     multiplicity: dict[str, int] = {}
-    eligibles: dict[str, list[tuple[CellPath, Transition]]] = {}
+    eligibles: dict[str, list[Eligible]] = {}
     slot_order: list[str] = list(spec.inputs)
     for place in slot_order:
         multiplicity[place] = multiplicity.get(place, 0) + 1
         if place in eligibles:
             continue
-        elig = eligible_tokens(marking.state_of(place), spec.action, env)
+        elig = eligible_of(place)
         if not elig:
             return [], {}
-        apparent[place] = _place_apparent_rate(elig, place, spec.action)
-        eligibles[place] = [(path, tr) for path, _, tr in elig]
+        apparent[place] = _place_apparent_rate(
+            (rate for _, rate, _ in elig), place, spec.action
+        )
+        eligibles[place] = elig
 
     # per-place weighted selections
-    per_place: dict[str, list[tuple[list[tuple[str, CellPath, Transition]], float]]] = {}
+    per_place: dict[str, list[tuple[list, float]]] = {}
     for place, k in multiplicity.items():
-        options = eligibles[place]
-        raw: list[tuple[list[tuple[str, CellPath, Transition]], float]] = []
-        for subset in itertools.combinations(options, k):
-            paths = [p for p, _ in subset]
-            if len(set(paths)) != k:
+        raw: list[tuple[list, float]] = []
+        for subset in itertools.combinations(eligibles[place], k):
+            if len({cell for cell, _, _ in subset}) != k:
                 continue  # one cell cannot supply two tokens
             weight = 1.0
             chosen = []
-            for path, tr in subset:
-                weight *= _rate_weight(tr.rate)
-                chosen.append((place, path, tr))
+            for _, rate, token in subset:
+                weight *= _rate_weight(rate)
+                chosen.append(token)
             raw.append((chosen, weight))
         if not raw:
             return [], {}
@@ -179,7 +191,7 @@ def _token_combinations(
     places = list(per_place)
     for assignment in itertools.product(*(per_place[p] for p in places)):
         share = 1.0
-        pool: dict[str, list[tuple[str, CellPath, Transition]]] = {}
+        pool: dict[str, list] = {}
         for (chosen, weight), place in zip(assignment, places):
             share *= weight
             pool[place] = list(chosen)
@@ -201,34 +213,35 @@ def _rate_weight(rate: Rate) -> float:
 
 
 def _output_mappings(
-    marking: NetMarking,
     spec: NetTransitionSpec,
-    targets: tuple[Sequential, ...],
-    ds: DerivativeSets,
-) -> list[tuple[tuple[str, CellPath, str], ...]]:
+    targets: tuple,
+    vacant_of: Callable[[str], list[Vacant]],
+    admits: Callable[[str, Any], bool],
+) -> list[tuple[Vacant, ...]]:
     """All type-preserving bijections φ (Definition 4).
 
-    Each mapping is a tuple over *input slots* ``i`` of
-    ``(output_place, cell_path, family)`` receiving token ``i``'s
-    derivative.  Deduplicated, because a permutation of equal slots can
-    produce the same physical assignment twice.
+    ``vacant_of(place)`` lists the place's vacant cells;
+    ``admits(family, target)`` is the type check of token ``i``'s
+    derivative ``targets[i]``.  Each mapping is a tuple over *input
+    slots* ``i`` of the vacant cell receiving token ``i``'s derivative.
+    Deduplicated, because a permutation of equal slots can produce the
+    same physical assignment twice.
     """
     k = len(spec.outputs)
-    vacant_per_outslot: list[list[tuple[str, CellPath, str]]] = []
+    vacant_per_outslot: list[list[Vacant]] = []
     for place in spec.outputs:
-        cells = vacant_cells(marking.state_of(place))
+        cells = vacant_of(place)
         if not cells:
             return []
-        vacant_per_outslot.append([(place, path, cell.family) for path, cell in cells])
+        vacant_per_outslot.append(cells)
 
-    mappings: set[tuple[tuple[str, CellPath, str], ...]] = set()
+    mappings: set[tuple[Vacant, ...]] = set()
     for sigma in itertools.permutations(range(k)):
         # input slot i is delivered to output slot sigma[i]
         for cells_choice in itertools.product(*vacant_per_outslot):
-            used: set[tuple[str, CellPath]] = set()
+            used: set = set()
             clash = False
-            for place, path, _ in cells_choice:
-                key = (place, path)
+            for key, _ in cells_choice:
                 if key in used:
                     clash = True
                     break
@@ -236,9 +249,50 @@ def _output_mappings(
             if clash:
                 continue
             assignment = tuple(cells_choice[sigma[i]] for i in range(k))
-            if all(ds.admits(assignment[i][2], targets[i]) for i in range(k)):
+            if all(admits(assignment[i][1], targets[i]) for i in range(k)):
                 mappings.add(assignment)
     return sorted(mappings)
+
+
+def _firing_floor(spec: NetTransitionSpec, apparent: dict[str, Rate]) -> Rate:
+    """``min(r_l, a_p1, ..., a_pk)``: the label against every input
+    place's apparent firing rate; an all-passive firing is an error."""
+    floor = spec.rate
+    for place_rate in apparent.values():
+        floor = rate_min(floor, place_rate)
+    if floor.is_passive():
+        raise WellFormednessError(
+            f"net transition {spec.name!r}: the label and every "
+            "participating token are passive; the firing rate is undefined"
+        )
+    return floor
+
+
+def _eligible_in(
+    marking: NetMarking, action: str, env: Environment
+) -> Callable[[str], list[Eligible]]:
+    """:func:`_token_combinations`' view of a marking's tokens; each
+    token is ``(place, path, Transition)``."""
+
+    def eligible_of(place: str) -> list[Eligible]:
+        return [
+            (path, tr.rate, (place, path, tr))
+            for path, _, tr in eligible_tokens(marking.state_of(place), action, env)
+        ]
+
+    return eligible_of
+
+
+def _vacant_in(marking: NetMarking) -> Callable[[str], list[Vacant]]:
+    """:func:`_output_mappings`' view of a marking's vacant cells."""
+
+    def vacant_of(place: str) -> list[Vacant]:
+        return [
+            ((place, path), cell.family)
+            for path, cell in vacant_cells(marking.state_of(place))
+        ]
+
+    return vacant_of
 
 
 def has_concession(
@@ -250,10 +304,11 @@ def has_concession(
 ) -> bool:
     """Definition 4: some enabling admits a type-preserving bijection to
     an output."""
-    combos, _ = _token_combinations(net, marking, spec, env)
+    combos, _ = _token_combinations(spec, _eligible_in(marking, spec.action, env))
+    vacant_of = _vacant_in(marking)
     for combo, _share in combos:
         targets = tuple(tr.target for _, _, tr in combo)
-        if _output_mappings(marking, spec, targets, ds):
+        if _output_mappings(spec, targets, vacant_of, ds.admits):
             return True
     return False
 
@@ -277,21 +332,19 @@ def firing_instances(
     net: PepaNet, marking: NetMarking, env: Environment, ds: DerivativeSets
 ) -> list[FiringInstance]:
     """All firings enabled in ``marking`` with their rates and successor
-    markings (Definitions 5 and 6)."""
+    markings (Definitions 5 and 6).
+
+    This is the executable reference of the firing rule, over
+    expressions; exploration runs the same helpers over local-state
+    indices (:class:`repro.pepanets.compiled.CompiledNet`)."""
     out: list[FiringInstance] = []
+    vacant_of = _vacant_in(marking)
     for spec in enabled_transitions(net, marking, env, ds):
-        combos, apparent = _token_combinations(net, marking, spec, env)
-        floor = spec.rate
-        for place_rate in apparent.values():
-            floor = rate_min(floor, place_rate)
-        if floor.is_passive():
-            raise WellFormednessError(
-                f"net transition {spec.name!r}: the label and every "
-                "participating token are passive; the firing rate is undefined"
-            )
+        combos, apparent = _token_combinations(spec, _eligible_in(marking, spec.action, env))
+        floor = _firing_floor(spec, apparent)
         for combo, share in combos:
             targets = tuple(tr.target for _, _, tr in combo)
-            mappings = _output_mappings(marking, spec, targets, ds)
+            mappings = _output_mappings(spec, targets, vacant_of, ds.admits)
             if not mappings:
                 continue
             combo_rate = share * floor.value
@@ -307,7 +360,7 @@ def firing_instances(
 def _apply_firing(
     marking: NetMarking,
     combo: tuple[tuple[str, CellPath, Transition], ...],
-    mapping: tuple[tuple[str, CellPath, str], ...],
+    mapping: tuple[Vacant, ...],
 ) -> NetMarking:
     """Definition 6: vacate every fired cell, then deposit derivatives."""
     result = marking
@@ -317,7 +370,7 @@ def _apply_firing(
             (p, c) for p, c in find_cells(expr) if p == path
         )
         result = result.with_state(place, replace_cell(expr, path, old_cell.vacated()))
-    for (in_place, in_path, tr), (out_place, out_path, family) in zip(combo, mapping):
+    for (in_place, in_path, tr), ((out_place, out_path), family) in zip(combo, mapping):
         expr = result.state_of(out_place)
         target = tr.target
         assert isinstance(target, Sequential)

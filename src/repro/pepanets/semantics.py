@@ -12,7 +12,10 @@ Treating each marking as a distinct state yields the CTMC
 ("The structured operational semantics ... shows how a CTMC can be
 derived, treating each marking as a distinct state").  The breadth-first
 walk itself is the shared :func:`repro.core.explore.explore_lts`
-kernel; this module only supplies the successor relation.
+kernel.  It runs over the marking vectors of a
+:class:`~repro.pepanets.compiled.CompiledNet`; :func:`net_arcs` is the
+same successor relation over expressions, kept as the executable
+reference that simulation and the tests compare against.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.lts import LabelledArc, Lts
 from repro.exceptions import WellFormednessError
 from repro.pepa.semantics import derivatives
+from repro.pepanets.compiled import CompiledNet
 from repro.pepanets.firing import DerivativeSets, firing_instances
 from repro.pepanets.syntax import NetMarking, PepaNet
 
@@ -38,17 +42,22 @@ class NetStateSpace(Lts):
     Arc actions are either local PEPA action types or firing action
     types; :attr:`firing_actions` tells them apart for measures.  The
     graph accessors come from :class:`repro.core.lts.Lts`;
-    :attr:`markings` is the net-flavoured name for its ``states``.
+    :attr:`markings` is the net-flavoured name for its ``states``.  An
+    explored space holds marking vectors as ``keys`` with its
+    :class:`~repro.pepanets.compiled.CompiledNet` as ``codec``, and
+    builds the :class:`NetMarking` objects on first access.
     """
 
     def __init__(
         self,
         net: PepaNet,
-        markings: list[NetMarking],
+        markings: list,
         arcs: list[LabelledArc],
         index: dict[NetMarking, int] | None = None,
+        *,
+        codec: CompiledNet | None = None,
     ):
-        super().__init__(states=markings, arcs=arcs, index=index)
+        super().__init__(states=markings, arcs=arcs, index=index, codec=codec)
         self.net = net
 
     @property
@@ -64,7 +73,10 @@ def net_arcs(
     net: PepaNet, marking: NetMarking, ds: DerivativeSets
 ) -> list[tuple[str, float, NetMarking]]:
     """All outgoing (action, rate, successor) of one marking: local
-    transitions of every place plus enabled net firings."""
+    transitions of every place plus enabled net firings.
+
+    The expression-level reference of the successor relation that
+    :func:`explore_net` computes over marking vectors."""
     env = net.environment
     exclude = net.firing_actions
     out: list[tuple[str, float, NetMarking]] = []
@@ -83,7 +95,8 @@ def net_arcs(
 
 
 #: Payload schema of cached marking spaces; bump on layout changes.
-CACHE_SCHEMA = "repro-markingspace/1"
+#: ``/2``: pickled expressions leave out their per-process cached hash.
+CACHE_SCHEMA = "repro-markingspace/2"
 
 
 def explore_net(
@@ -126,10 +139,10 @@ def explore_net(
             )
             space.cache_key = key
             return space
-    ds = DerivativeSets(net.environment)
+    compiled = CompiledNet(net)
     lts = explore_lts(
-        net.initial_marking(),
-        lambda marking: net_arcs(net, marking, ds),
+        compiled.initial,
+        compiled.successors,
         stage="pepanet.markingspace",
         budget_stage="pepa-net marking space",
         max_states=max_states,
@@ -139,7 +152,8 @@ def explore_net(
         span_count_key="markings",
         overflow=lambda n: f"PEPA-net marking space exceeds {n} states",
     )
-    space = NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs, index=lts.index)
+    compiled.forget_moves()
+    space = NetStateSpace(net=net, markings=lts.keys, arcs=lts.arcs, codec=compiled)
     if cache is not None and key is not None:
         cache.store(
             key, {"schema": CACHE_SCHEMA, "markings": space.markings, "arcs": space.arcs}

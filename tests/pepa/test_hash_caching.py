@@ -5,6 +5,9 @@ expressions are immutable; these tests pin the invariants it relies on
 so a future refactor cannot silently break dictionary semantics.
 """
 
+import pickle
+from dataclasses import fields
+
 from hypothesis import given, settings
 
 from repro.pepa import parse_expression
@@ -51,6 +54,25 @@ class TestHashSemantics:
             hash(node)
             assert hasattr(node, "_hash_cache")
             assert hash(node) == node._hash_cache
+
+    def test_hash_is_the_field_tuple_hash_and_is_not_pickled(self):
+        """The per-class field names reproduce the reflective hash, and
+        the cached value (seeded per process) stays out of pickles."""
+        nodes = [
+            Prefix("a", ActiveRate(1.0), Const("P")),
+            Choice(Const("P"), Const("Q")),
+            Cooperation(Const("P"), Const("Q"), frozenset({"a"})),
+            Hiding(Const("P"), frozenset({"a"})),
+            Cell("File", Const("P")),
+        ]
+        for node in nodes:
+            expected = hash((type(node).__name__,) + tuple(
+                getattr(node, f.name) for f in fields(node)
+            ))
+            assert hash(node) == expected
+            clone = pickle.loads(pickle.dumps(node))
+            assert "_hash_cache" not in vars(clone)
+            assert clone == node and hash(clone) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(expressions())
