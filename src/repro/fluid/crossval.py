@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from repro.ctmc.rewards import all_throughputs
 from repro.ctmc.steady import steady_state
 from repro.exceptions import ReproError
+from repro.fluid.nvf import environment_name
 from repro.fluid.ode import analyse_fluid
 from repro.fluid.shape import population_shape
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.population import PopulationModel, PopulationState, population_ctmc
+from repro.pepa.population import PopulationModel, population_ctmc
 from repro.pepa.rates import ActiveRate, PassiveRate
 from repro.pepa.syntax import Const, Cooperation, Expression, Prefix
 from repro.sim.estimators import estimate_throughput, replicate
@@ -221,35 +221,35 @@ class CrossValidationReport:
 # The three check kinds
 # ----------------------------------------------------------------------
 def _exact_measures(
-    model: PepaModel, n: int
-) -> tuple[dict[str, float], dict[str, float], list[PopulationState], np.ndarray]:
-    """Exact expected occupancies and throughputs via the population CTMC."""
+    model: PepaModel, n: int, replica_names: list[str]
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Exact expected occupancies and throughputs via the population CTMC.
+
+    Occupancies are keyed by fluid coordinate name: ``replica_names``
+    (the fluid route's replica block) decides which environment labels
+    :func:`~repro.fluid.nvf.environment_name` qualifies.
+    """
     shape = population_shape(model)
-    pop = PopulationModel(model.environment, shape.replica, n,
-                          shape.environment, shape.cooperation)
     states, chain = population_ctmc(
         model.environment, shape.replica, n, shape.environment, shape.cooperation
     )
     pi = steady_state(chain)
-    occupancy: dict[str, float] = {name: 0.0 for name in pop.local_states}
+    occupancy: dict[str, float] = {}
     for state, p in zip(states, pi):
         for name, count in state.counts:
-            occupancy[name] += float(p) * count
+            occupancy[name] = occupancy.get(name, 0.0) + float(p) * count
         if state.environment_state is not None:
-            env_name = str(state.environment_state)
+            env_name = environment_name(str(state.environment_state), replica_names)
             occupancy[env_name] = occupancy.get(env_name, 0.0) + float(p)
-    throughputs: dict[str, float] = {}
-    for state, p in zip(states, pi):
-        for action, rate, _ in pop.transitions(state):
-            throughputs[action] = throughputs.get(action, 0.0) + float(p) * rate
-    return occupancy, throughputs, states, pi
+    return occupancy, all_throughputs(chain, pi)
 
 
 def _check_exact(report: CrossValidationReport, family: Family, n: int,
                  tol: float) -> None:
     model = family.builder(n)
     fluid = analyse_fluid(model)
-    occupancy, throughputs, _, _ = _exact_measures(model, n)
+    replica_names = fluid.names[: fluid.n_replica_states]
+    occupancy, throughputs = _exact_measures(model, n, replica_names)
     worst_name, worst = "", 0.0
     for name in fluid.names:
         err = abs(fluid.occupancy(name) - occupancy.get(name, 0.0))
@@ -279,10 +279,11 @@ def _check_convergence(report: CrossValidationReport, family: Family,
     for n in ns:
         model = family.builder(n)
         fluid = analyse_fluid(model)
-        occupancy, _, _, _ = _exact_measures(model, n)
+        replica_names = fluid.names[: fluid.n_replica_states]
+        occupancy, _ = _exact_measures(model, n, replica_names)
         err = max(
             abs(fluid.occupancy(name) - occupancy.get(name, 0.0)) / n
-            for name in fluid.names[: fluid.n_replica_states]
+            for name in replica_names
         )
         errors.append(err)
     shrinking = all(b <= a * 1.05 for a, b in zip(errors, errors[1:]))

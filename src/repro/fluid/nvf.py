@@ -27,6 +27,7 @@ exercises both regimes.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,17 @@ from repro.exceptions import WellFormednessError
 from repro.fluid.shape import FluidUnsupported, PopulationShape, population_shape
 from repro.obs import get_tracer
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.population import PopulationModel, environment_states
-from repro.pepa.semantics import derivatives
-from repro.pepa.syntax import Const, Expression
+from repro.pepa.population import PopulationModel
+from repro.pepa.rates import Rate
+from repro.pepa.syntax import Expression
 
-__all__ = ["SharedAction", "NumericalVectorForm", "compile_nvf", "nvf_of_model"]
+__all__ = [
+    "SharedAction",
+    "NumericalVectorForm",
+    "compile_nvf",
+    "environment_name",
+    "nvf_of_model",
+]
 
 
 @dataclass
@@ -78,6 +85,45 @@ class SharedAction:
         return min(a_repl, a_env)
 
 
+#: The two messages for a passive move outside the cooperation set,
+#: indexed by side (replica, environment).
+_PASSIVE_OUTSIDE = (
+    "replica activity ({}) is passive outside the cooperation set; it can "
+    "never proceed",
+    "environment activity ({}) is passive outside the cooperation set",
+)
+
+
+def environment_name(label: str, replica_names: Collection[str]) -> str:
+    """The coordinate name of an environment state: its label, or
+    ``env:label`` when a replica local state has the same label."""
+    return f"env:{label}" if label in replica_names else label
+
+
+def _side(action: str, rows: list[tuple[int, int, Rate]], side: str) -> _Side | None:
+    """One side's ``(source, target, rate)`` rows of a shared action as
+    flat arrays; ``None`` when the side never performs it."""
+    if not rows:
+        return None
+    kinds = {rate.is_passive() for _, _, rate in rows}
+    if len(kinds) > 1:
+        raise FluidUnsupported(
+            f"the {side} side enables shared action ({action}) with a "
+            "mix of active and passive rates across its local states; "
+            "the fluid apparent rate is undefined for mixed kinds"
+        )
+    passive = kinds.pop()
+    return _Side(
+        np.asarray([src for src, _, _ in rows], dtype=np.intp),
+        np.asarray([tgt for _, tgt, _ in rows], dtype=np.intp),
+        np.asarray(
+            [rate.weight if passive else rate.value for _, _, rate in rows],  # type: ignore[union-attr]
+            dtype=float,
+        ),
+        passive,
+    )
+
+
 class NumericalVectorForm:
     """Activity matrices + mean-field vector field of a population model.
 
@@ -85,86 +131,65 @@ class NumericalVectorForm:
     occupancies (summing to the replica count ``N``); the remaining
     ``n_env_states`` coordinates are the environment entity's state
     probabilities (summing to 1, absent for environment-free systems).
-    ``names[i]`` is the canonical label of coordinate ``i``.
+    Both blocks are read off the population model's local-state table.
+    ``names[i]`` is the label of coordinate ``i`` — see
+    :func:`environment_name` for the one qualification that keeps the
+    names unique.
     """
 
     def __init__(self, model: PopulationModel):
+        table = model.table
         self.replica = model.replica
         self.cooperation = model.cooperation
-        self.names: list[str] = list(model.local_states)
-        self.n_replica_states = len(self.names)
-        index: dict[str, int] = {name: i for i, name in enumerate(self.names)}
-
-        self.env_states: list[Expression] = []
-        if model.environment_component is not None:
-            self.env_states = environment_states(
-                model.env, model.environment_component
-            )
-        env_index: dict[Expression, int] = {}
-        for state in self.env_states:
-            env_index[state] = len(self.names)
-            self.names.append(str(state))
-        self.n_env_states = len(self.env_states)
+        # table index -> coordinate, one map per block: the replica and
+        # the environment may hold the same term (``(P || P) <a> P``)
+        replica = {i: k for k, i in enumerate(model.replica_states.values())}
+        offset = len(replica)
+        environment = {
+            i: offset + k for k, i in enumerate(model.environment_universe)
+        }
+        self.names: list[str] = list(model.replica_states)
+        self.names += [
+            environment_name(table.label(i), model.replica_states) for i in environment
+        ]
+        self.n_replica_states = len(replica)
+        self.n_env_states = len(environment)
         self.dimension = len(self.names)
-        self._initial_replica = str(Const(model.replica))
+        self._initial_replica = replica[model.initial_replica]
         self._initial_env = (
-            env_index[model.environment_component]
+            environment[table.index[model.environment_component]]
             if model.environment_component is not None
             else None
         )
 
-        # --- independent (linear) flows: replica and environment moves
-        # whose action lies outside the cooperation set ----------------
-        lin_src: list[int] = []
-        lin_tgt: list[int] = []
-        lin_rate: list[float] = []
-        lin_action: list[str] = []
-        for name, state in model.local_states.items():
-            for tr in derivatives(state, model.env):
-                if tr.action in model.cooperation:
-                    continue
-                if tr.rate.is_passive():
-                    raise WellFormednessError(
-                        f"replica activity ({tr.action}) is passive outside "
-                        "the cooperation set; it can never proceed"
-                    )
-                lin_src.append(index[name])
-                lin_tgt.append(index[str(tr.target)])
-                lin_rate.append(tr.rate.value)
-                lin_action.append(tr.action)
-        for state in self.env_states:
-            for tr in derivatives(state, model.env):
-                if tr.action in model.cooperation:
-                    continue
-                if tr.rate.is_passive():
-                    raise WellFormednessError(
-                        f"environment activity ({tr.action}) is passive "
-                        "outside the cooperation set"
-                    )
-                lin_src.append(env_index[state])
-                lin_tgt.append(env_index[tr.target])
-                lin_rate.append(tr.rate.value)
-                lin_action.append(tr.action)
+        # --- one pass over the rows: moves outside the cooperation set
+        # are independent (linear) flows, the rest are collected per
+        # shared action and side --------------------------------------
+        lin: list[tuple[int, int, float, str]] = []  # (source, target, rate, action)
+        shared_rows: dict[str, tuple[list, list]] = {
+            action: ([], []) for action in model.cooperation
+        }
+        for side, coords in enumerate((replica, environment)):
+            for i, coord in coords.items():
+                for action, rate, (j,) in table.rows(i):
+                    if action in model.cooperation:
+                        shared_rows[action][side].append((coord, coords[j], rate))
+                    elif rate.is_passive():
+                        raise WellFormednessError(_PASSIVE_OUTSIDE[side].format(action))
+                    else:
+                        lin.append((coord, coords[j], rate.value, action))
+        lin_src, lin_tgt, lin_rate, lin_action = zip(*lin) if lin else ((),) * 4
         self._lin_src = np.asarray(lin_src, dtype=np.intp)
         self._lin_tgt = np.asarray(lin_tgt, dtype=np.intp)
         self._lin_rate = np.asarray(lin_rate, dtype=float)
-        self._lin_action = lin_action
+        self._lin_action = list(lin_action)
 
         # --- shared activity matrices, one per cooperation action -----
         self.shared: list[SharedAction] = []
         for action in sorted(model.cooperation):
-            repl = self._side(
-                action,
-                ((index[name], index, state)
-                 for name, state in model.local_states.items()),
-                model.env, side="replica",
-            )
-            envs = self._side(
-                action,
-                ((env_index[state], env_index, state)
-                 for state in self.env_states),
-                model.env, side="environment", env_targets=True,
-            )
+            replica_rows, environment_rows = shared_rows[action]
+            repl = _side(action, replica_rows, "replica")
+            envs = _side(action, environment_rows, "environment")
             if repl is None or envs is None:
                 # One side can never perform the action: it never fires
                 # (exactly as the exact population construction skips it).
@@ -213,45 +238,12 @@ class NumericalVectorForm:
             len(sa.replica.val) + len(sa.environment.val) for sa in self.shared
         )
 
-    @staticmethod
-    def _side(action, rows, env: Environment, *, side: str,
-              env_targets: bool = False) -> _Side | None:
-        src: list[int] = []
-        tgt: list[int] = []
-        val: list[float] = []
-        kinds: set[bool] = set()
-        for coord, target_index, state in rows:
-            for tr in derivatives(state, env):
-                if tr.action != action:
-                    continue
-                kinds.add(tr.rate.is_passive())
-                src.append(coord)
-                key = tr.target if env_targets else str(tr.target)
-                tgt.append(target_index[key])
-                val.append(
-                    tr.rate.weight if tr.rate.is_passive() else tr.rate.value  # type: ignore[union-attr]
-                )
-        if not src:
-            return None
-        if len(kinds) > 1:
-            raise FluidUnsupported(
-                f"the {side} side enables shared action ({action}) with a "
-                "mix of active and passive rates across its local states; "
-                "the fluid apparent rate is undefined for mixed kinds"
-            )
-        return _Side(
-            np.asarray(src, dtype=np.intp),
-            np.asarray(tgt, dtype=np.intp),
-            np.asarray(val, dtype=float),
-            kinds.pop(),
-        )
-
     # ------------------------------------------------------------------
     def initial_vector(self, n_replicas: int) -> np.ndarray:
         """All ``n_replicas`` mass on the replica constant, environment
         at its start state with probability 1."""
         x = np.zeros(self.dimension)
-        x[self.names.index(self._initial_replica)] = float(n_replicas)
+        x[self._initial_replica] = float(n_replicas)
         if self._initial_env is not None:
             x[self._initial_env] = 1.0
         return x

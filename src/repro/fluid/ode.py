@@ -48,7 +48,7 @@ FLUID_METHODS = ("newton", "ode", "damped")
 _STEP_EVERY = 200
 
 #: Payload schema of cached fluid solutions; bump on layout changes.
-CACHE_SCHEMA = "repro-fluid/1"
+CACHE_SCHEMA = "repro-fluid/2"
 
 
 class FluidAnalysis:

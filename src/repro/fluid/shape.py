@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError
+from repro.pepa.compiled import CompiledModel, Leaf, LocalStates, Node, SyncNode
 from repro.pepa.environment import PepaModel
-from repro.pepa.syntax import Const, Cooperation, Expression
+from repro.pepa.syntax import Const, Expression
 
 __all__ = ["FluidUnsupported", "PopulationShape", "population_shape"]
 
@@ -65,71 +66,58 @@ class PopulationShape:
         return f"{self.replica}^{self.n_replicas}{env}"
 
 
-def _interleaved_constants(expr: Expression) -> list[str] | None:
-    """Flatten a pure-interleaving tree of constants, or ``None``.
-
-    Accepts ``Const`` leaves joined by cooperations with *empty* action
-    sets only; anything else (prefixes, hiding, cells, a non-empty
-    cooperation) disqualifies the subtree as a replica block.
+def _replica_block(node: Node, table: LocalStates) -> tuple[str, int] | None:
+    """``(constant, count)`` when ``node`` is ``P || ... || P``: a
+    subtree of empty-set cooperations whose leaves all start at the same
+    interned constant.  Anything else (prefixes, hiding, cells, a
+    non-empty cooperation) disqualifies the subtree as a replica block.
     """
-    if isinstance(expr, Const):
-        return [expr.name]
-    if isinstance(expr, Cooperation) and not expr.actions:
-        left = _interleaved_constants(expr.left)
-        if left is None:
-            return None
-        right = _interleaved_constants(expr.right)
-        if right is None:
-            return None
-        return left + right
+    if isinstance(node, Leaf):
+        expr = table.exprs[node.initial]
+        return (expr.name, 1) if isinstance(expr, Const) else None
+    if isinstance(node, SyncNode) and not node.actions:
+        left = _replica_block(node.left, table)
+        right = _replica_block(node.right, table)
+        if left is not None and right is not None and left[0] == right[0]:
+            return left[0], left[1] + right[1]
     return None
-
-
-def _as_replica_block(expr: Expression) -> tuple[str, int] | None:
-    """``(constant, count)`` when ``expr`` is ``P || ... || P``."""
-    names = _interleaved_constants(expr)
-    if not names:
-        return None
-    if len(set(names)) != 1:
-        return None
-    return names[0], len(names)
 
 
 def population_shape(model: PepaModel) -> PopulationShape:
     """Decompose ``model``'s system equation into its population shape.
 
-    Raises :class:`FluidUnsupported` when the equation is not a pure
+    The shape is a query on the compiled synchronisation tree
+    (:class:`~repro.pepa.compiled.CompiledModel`).  Raises
+    :class:`FluidUnsupported` when the equation is not a pure
     interleaving of one constant, optionally cooperating with a single
     environment component.  When both sides of the top cooperation are
     replica blocks the larger one is taken as the population (ties go
     left) and the other becomes the environment.
     """
     system = model.system
-    whole = _as_replica_block(system)
+    compiled = CompiledModel(system, model.environment)
+    root, table = compiled.root, compiled.table
+    whole = _replica_block(root, table)
     if whole is not None:
         name, count = whole
         return PopulationShape(name, count, None, frozenset())
-    if not isinstance(system, Cooperation):
+    if not isinstance(root, SyncNode):
         raise FluidUnsupported(
             f"system equation {system} is not a replicated population: "
             "expected (P || ... || P) <L> Q with a single repeated constant"
         )
-    left = _as_replica_block(system.left)
-    right = _as_replica_block(system.right)
+    left = _replica_block(root.left, table)
+    right = _replica_block(root.right, table)
     if left is None and right is None:
         raise FluidUnsupported(
             f"neither side of the top-level cooperation {system} is a pure "
             "interleaving of one constant; the fluid analyzer needs the "
             "(P || ... || P) <L> Q population shape"
         )
-    if left is not None and right is not None:
-        if right[1] > left[1]:
-            left = None
-        else:
-            right = None
-    if left is not None:
-        name, count = left
-        return PopulationShape(name, count, system.right, system.actions)
-    assert right is not None
-    name, count = right
-    return PopulationShape(name, count, system.left, system.actions)
+    if left is not None and (right is None or right[1] <= left[1]):
+        (name, count), environment = left, root.right
+    else:
+        (name, count), environment = right, root.left
+    return PopulationShape(
+        name, count, environment.expression(compiled.initial), root.actions
+    )

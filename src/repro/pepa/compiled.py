@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Union
 
+from repro.exceptions import StateSpaceError
 from repro.pepa.environment import Environment
 from repro.pepa.rates import Rate, cooperation_rate, rate_min, rate_sum
 from repro.pepa.semantics import apparent_rate, derivatives
@@ -107,6 +108,29 @@ class LocalStates:
                 for tr in derivatives(self.exprs[i], self.env, exclude=self.exclude)
             ]
         return rows
+
+    def closure(self, start: int, limit: int) -> list[int]:
+        """Every local state reachable from ``start`` through :meth:`rows`,
+        in breadth-first order from ``start``.
+
+        Raises :class:`StateSpaceError` when there are more than
+        ``limit``.  This is the one local-state enumeration: the
+        Kronecker leaves, the population replicas and environments and
+        the fluid coordinates all read theirs from it.
+        """
+        order = [start]
+        seen = {start}
+        for i in order:  # ``order`` grows behind the loop: a FIFO queue
+            for _, _, (j,) in self.rows(i):
+                if j not in seen:
+                    if len(order) >= limit:
+                        raise StateSpaceError(
+                            f"local state space of {self.label(start)} "
+                            f"exceeds {limit} states"
+                        )
+                    seen.add(j)
+                    order.append(j)
+        return order
 
     def apparent(self, i: int, action: str) -> Rate | None:
         """The apparent rate of ``action`` in local state ``i``."""

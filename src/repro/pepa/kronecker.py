@@ -56,6 +56,7 @@ import numpy as np
 from repro.core.lts import Lts
 from repro.ctmc.chain import CTMC
 from repro.ctmc.operator import DescriptorUnsupported, KroneckerDescriptor, KroneckerTerm
+from repro.exceptions import StateSpaceError
 from repro.pepa.compiled import CompiledModel, HideNode, Leaf, Node
 from repro.pepa.environment import Environment
 from repro.pepa.syntax import TAU, Expression
@@ -96,24 +97,16 @@ class _Closure:
 
 
 def _close_leaf(leaf: Leaf, max_local_states: int) -> _Closure:
-    """Independent BFS closure of one component's derivatives.  The
-    closure is a superset of the states the component visits inside the
-    full system, which is exactly what the product embedding needs."""
-    rows = leaf.table.rows
-    order = [leaf.initial]
-    where = {leaf.initial: 0}
-    k = 0
-    while k < len(order):
-        for _, _, (j,) in rows(order[k]):
-            if j not in where:
-                if len(order) >= max_local_states:
-                    raise DescriptorUnsupported(
-                        f"component state space exceeds {max_local_states} states"
-                    )
-                where[j] = len(order)
-                order.append(j)
-        k += 1
-    return _Closure(leaf, order, where)
+    """Independent closure of one component's derivatives.  The closure
+    is a superset of the states the component visits inside the full
+    system, which is exactly what the product embedding needs."""
+    try:
+        order = leaf.table.closure(leaf.initial, max_local_states)
+    except StateSpaceError:
+        raise DescriptorUnsupported(
+            f"component state space exceeds {max_local_states} states"
+        ) from None
+    return _Closure(leaf, order, {j: k for k, j in enumerate(order)})
 
 
 # ---------------------------------------------------------------------------

@@ -31,21 +31,25 @@ on instances small enough to unfold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.ctmc.chain import CTMC, build_ctmc
-from repro.exceptions import StateSpaceError, WellFormednessError
+from repro.core.ctmcgen import ctmc_from_lts
+from repro.core.explore import explore_lts
+from repro.ctmc.chain import CTMC
+from repro.exceptions import WellFormednessError
+from repro.pepa.compiled import LocalStates
 from repro.pepa.environment import Environment
-from repro.pepa.rates import Rate, cooperation_rate, rate_sum
-from repro.pepa.semantics import apparent_rate, derivative_set, derivatives
-from repro.pepa.syntax import Expression, Sequential
-from repro.utils.ordering import stable_sorted
+from repro.pepa.rates import ActiveRate, PassiveRate, Rate, cooperation_rate, rate_sum
+from repro.pepa.syntax import Const, Expression, Sequential
 
 __all__ = [
     "PopulationState",
     "PopulationModel",
     "population_ctmc",
-    "environment_states",
 ]
+
+#: Bound on the local states of the replica and of the environment.
+MAX_LOCAL_STATES = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,14 @@ class PopulationState:
 
 
 class PopulationModel:
-    """The counting-semantics model for ``replica^n <L> environment``."""
+    """The counting-semantics model for ``replica^n <L> environment``.
+
+    Replica and environment draw their local states from one
+    :class:`~repro.pepa.compiled.LocalStates` table: ``replica_states``
+    maps each replica local state's label to its table index (in label
+    order), and the environment — whatever its structure — is one
+    whole-expression local state per reachable environment term.
+    """
 
     def __init__(
         self,
@@ -97,26 +108,40 @@ class PopulationModel:
         self.n = n_replicas
         self.environment_component = environment_component
         self.cooperation = cooperation
-        # local states of the replica, with canonical string names
-        self.local_states: dict[str, Sequential] = {}
-        for state in stable_sorted(derivative_set(replica, env), key=str):
-            self.local_states[str(state)] = state
+        self.table = table = LocalStates(env)
+        self.initial_replica = table.intern(Const(replica))
+        closure = table.closure(self.initial_replica, MAX_LOCAL_STATES)
+        for i in closure:
+            if not isinstance(table.exprs[i], Sequential):
+                raise WellFormednessError(
+                    f"token family {replica!r} evolves to a non-sequential term"
+                )
+        #: label -> table index of every replica local state, by label.
+        self.replica_states: dict[str, int] = {
+            table.label(i): i for i in sorted(closure, key=table.label)
+        }
+
+    @cached_property
+    def environment_universe(self) -> list[int]:
+        """Table indices of every state the environment can reach through
+        its own rows, by label (empty without an environment)."""
+        if self.environment_component is None:
+            return []
+        table = self.table
+        closure = table.closure(table.intern(self.environment_component), MAX_LOCAL_STATES)
+        return sorted(closure, key=table.label)
 
     # ------------------------------------------------------------------
     def initial_state(self) -> PopulationState:
         """All replicas in the start state, environment at its start."""
-        from repro.pepa.syntax import Const
-
-        name = str(Const(self.replica))
-        if name not in self.local_states:
-            raise WellFormednessError(f"replica constant {self.replica!r} not found")
+        name = self.table.label(self.initial_replica)
         return PopulationState(((name, self.n),), self.environment_component)
 
     def replica_apparent_rate(self, state: PopulationState, action: str) -> Rate | None:
         """Apparent rate of the whole population: Σ n_s · rα(s)."""
         total: Rate | None = None
         for name, count in state.counts:
-            single = apparent_rate(self.local_states[name], action, self.env)
+            single = self.table.apparent(self.replica_states[name], action)
             if single is None:
                 continue
             scaled = _scale(single, count)
@@ -125,66 +150,65 @@ class PopulationModel:
 
     def transitions(self, state: PopulationState) -> list[tuple[str, float, PopulationState]]:
         """All outgoing (action, rate, successor) of a population state."""
+        table = self.table
         out: list[tuple[str, float, PopulationState]] = []
         counts = dict(state.counts)
         env_state = state.environment_state
-
-        env_transitions = [] if env_state is None else derivatives(env_state, self.env)
+        env_index = None if env_state is None else table.intern(env_state)
+        env_rows = [] if env_index is None else table.rows(env_index)
         # --- independent replica moves (action not in L) --------------
         for name, n in state.counts:
-            for tr in derivatives(self.local_states[name], self.env):
-                if tr.action in self.cooperation:
+            for action, rate, (j,) in table.rows(self.replica_states[name]):
+                if action in self.cooperation:
                     continue
-                if tr.rate.is_passive():
+                if rate.is_passive():
                     raise WellFormednessError(
-                        f"replica activity ({tr.action}) is passive outside "
+                        f"replica activity ({action}) is passive outside "
                         "the cooperation set; it can never proceed"
                     )
-                successor = _move(counts, name, str(tr.target))
-                out.append((tr.action, n * tr.rate.value,
+                successor = _move(counts, name, table.label(j))
+                out.append((action, n * rate.value,
                             PopulationState(successor, env_state)))
         # --- independent environment moves -----------------------------
-        for tr in env_transitions:
-            if tr.action in self.cooperation:
+        for action, rate, (j,) in env_rows:
+            if action in self.cooperation:
                 continue
-            if tr.rate.is_passive():
+            if rate.is_passive():
                 raise WellFormednessError(
-                    f"environment activity ({tr.action}) is passive outside "
+                    f"environment activity ({action}) is passive outside "
                     "the cooperation set"
                 )
-            out.append((tr.action, tr.rate.value,
-                        PopulationState(state.counts, tr.target)))
+            out.append((action, rate.value,
+                        PopulationState(state.counts, table.exprs[j])))
         # --- shared activities ------------------------------------------
         for action in sorted(self.cooperation):
             pop_apparent = self.replica_apparent_rate(state, action)
-            env_apparent = apparent_rate(env_state, action, self.env)
+            env_apparent = table.apparent(env_index, action)
             if pop_apparent is None or env_apparent is None:
                 continue
             for name, n in state.counts:
-                for tr in derivatives(self.local_states[name], self.env):
-                    if tr.action != action:
+                for ra, rate, (j,) in table.rows(self.replica_states[name]):
+                    if ra != action:
                         continue
-                    replica_rate = _scale(tr.rate, n)
-                    for etr in env_transitions:
-                        if etr.action != action:
+                    replica_rate = _scale(rate, n)
+                    for ea, env_rate, (k,) in env_rows:
+                        if ea != action:
                             continue
                         joint = cooperation_rate(
-                            replica_rate, etr.rate, pop_apparent, env_apparent
+                            replica_rate, env_rate, pop_apparent, env_apparent
                         )
                         if joint.is_passive():
                             raise WellFormednessError(
                                 f"shared activity ({action}) is passive on "
                                 "both sides of the cooperation"
                             )
-                        successor = _move(counts, name, str(tr.target))
+                        successor = _move(counts, name, table.label(j))
                         out.append((action, joint.value,
-                                    PopulationState(successor, etr.target)))
+                                    PopulationState(successor, table.exprs[k])))
         return out
 
 
 def _scale(rate: Rate, factor: int) -> Rate:
-    from repro.pepa.rates import ActiveRate, PassiveRate
-
     if factor == 1:
         return rate
     if rate.is_passive():
@@ -200,35 +224,6 @@ def _move(counts: dict[str, int], source: str, target: str) -> tuple[tuple[str, 
     return tuple(sorted((k, v) for k, v in nxt.items() if v > 0))
 
 
-def environment_states(
-    env: Environment,
-    environment_component: Expression,
-    *,
-    max_states: int = 10_000,
-) -> list[Expression]:
-    """Every state the environment component can reach, canonically ordered.
-
-    Breadth-first over :func:`~repro.pepa.semantics.derivatives` — shared
-    and independent moves alike change the environment only through its
-    own one-step targets, so this is the full environment universe of
-    the population construction (and the environment block of the fluid
-    vector form's coordinate system).
-    """
-    seen: set[Expression] = {environment_component}
-    frontier: list[Expression] = [environment_component]
-    while frontier:
-        current = frontier.pop()
-        for tr in derivatives(current, env):
-            if tr.target not in seen:
-                if len(seen) >= max_states:
-                    raise StateSpaceError(
-                        f"environment component exceeds {max_states} states"
-                    )
-                seen.add(tr.target)
-                frontier.append(tr.target)
-    return stable_sorted(seen, key=str)
-
-
 def population_ctmc(
     env: Environment,
     replica: str,
@@ -238,29 +233,18 @@ def population_ctmc(
     *,
     max_states: int = 1_000_000,
 ) -> tuple[list[PopulationState], CTMC]:
-    """Explore the population state space and build its CTMC."""
+    """Explore the population state space and build its CTMC.
+
+    The states are listed in breadth-first discovery order, the initial
+    state (all replicas at the replica constant) first.
+    """
     model = PopulationModel(
         env, replica, n_replicas, environment_component, frozenset(cooperation)
     )
-    initial = model.initial_state()
-    index: dict[PopulationState, int] = {initial: 0}
-    states: list[PopulationState] = [initial]
-    records: list[tuple[int, str, float, int]] = []
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        src = index[state]
-        for action, rate, successor in model.transitions(state):
-            tgt = index.get(successor)
-            if tgt is None:
-                if len(states) >= max_states:
-                    raise StateSpaceError(
-                        f"population space exceeds {max_states} states"
-                    )
-                tgt = len(states)
-                index[successor] = tgt
-                states.append(successor)
-                frontier.append(successor)
-            records.append((src, action, rate, tgt))
-    labels = [str(s) for s in states]
-    return states, build_ctmc(len(states), records, labels=labels)
+    space = explore_lts(
+        model.initial_state(), model.transitions,
+        stage="pepa.population", max_states=max_states,
+        span_attrs={"replica": replica, "replicas": n_replicas},
+        overflow=lambda limit: f"population space exceeds {limit} states",
+    )
+    return space.states, ctmc_from_lts(space)

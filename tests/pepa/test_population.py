@@ -188,18 +188,3 @@ class TestEdgeShapes:
         model = parse_model("P = (a, 1.0).P; P")
         with pytest.raises(WellFormednessError, match="environment component"):
             population_ctmc(model.environment, "P", 2, None, {"a"})
-
-    def test_environment_states_enumerates_universe(self):
-        from repro.pepa.population import environment_states
-
-        env = defs_environment()
-        states = environment_states(env, parse_expression("Idle"))
-        assert sorted(str(s) for s in states) == ["Idle", "Serve"]
-
-    def test_environment_states_bounded(self):
-        from repro.exceptions import StateSpaceError
-        from repro.pepa.population import environment_states
-
-        env = defs_environment()
-        with pytest.raises(StateSpaceError, match="exceeds"):
-            environment_states(env, parse_expression("Idle"), max_states=1)
