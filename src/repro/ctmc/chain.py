@@ -171,21 +171,22 @@ class CTMC:
 
     def bottom_sccs(self) -> list[np.ndarray]:
         """Bottom strongly connected components (closed recurrent classes)."""
-        n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
-        coo = self.Q.tocoo()
-        leaves = set(range(n_comp))
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if v > 0 and labels[i] != labels[j]:
-                leaves.discard(int(labels[i]))
-        return [np.flatnonzero(labels == c) for c in sorted(leaves)]
+        Q = self.Q
+        n_comp, labels = connected_components(Q, directed=True, connection="strong")
+        rows = np.repeat(np.arange(self._n), np.diff(Q.indptr))
+        leaving = (Q.data > 0) & (labels[rows] != labels[Q.indices])
+        leaves = np.ones(n_comp, dtype=bool)
+        leaves[labels[rows[leaving]]] = False
+        return [np.flatnonzero(labels == c) for c in np.flatnonzero(leaves)]
 
     def restricted_to(self, states: np.ndarray) -> "CTMC":
         """The sub-chain on ``states`` (rates leaving the set are dropped
         and the diagonal is rebuilt so rows sum to zero)."""
         states = np.asarray(states, dtype=np.int64)
-        sub = self.Q[states][:, states].tolil()
-        sub.setdiag(0.0)
-        sub = sub.tocsr()
+        sub = self.Q[states][:, states]
+        sub.sort_indices()
+        rows = np.repeat(np.arange(states.size), np.diff(sub.indptr))
+        sub.data[rows == sub.indices] = 0.0
         sub.eliminate_zeros()
         diag = -np.asarray(sub.sum(axis=1)).ravel()
         gen = (sub + sp.diags(diag)).tocsr()
