@@ -20,15 +20,17 @@ part of the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import steady_state
+from repro.ctmc.steady import augmented_system, steady_state
 from repro.exceptions import SolverError
 
-__all__ = ["stationary_derivative", "measure_sensitivity"]
+__all__ = ["stationary_derivative", "stationary_derivatives", "measure_sensitivity"]
 
 
 def stationary_derivative(chain: CTMC, dQ: sp.spmatrix, pi: np.ndarray | None = None) -> np.ndarray:
@@ -36,24 +38,34 @@ def stationary_derivative(chain: CTMC, dQ: sp.spmatrix, pi: np.ndarray | None = 
 
     ``dQ`` must have zero row sums (a valid generator derivative).
     """
+    return stationary_derivatives(chain, pi)(dQ)
+
+
+def stationary_derivatives(
+    chain: CTMC, pi: np.ndarray | None = None
+) -> Callable[[sp.spmatrix], np.ndarray]:
+    """``dQ ↦ ∂π/∂θ`` with the augmented system factorised once, so a
+    profile over many directions pays one LU and one solve per
+    direction."""
     if pi is None:
         pi = steady_state(chain)
-    dQ = sp.csr_matrix(dQ)
-    if dQ.shape != chain.Q.shape:
-        raise SolverError(f"dQ shape {dQ.shape} does not match the generator")
-    row_sums = np.asarray(dQ.sum(axis=1)).ravel()
-    if not np.allclose(row_sums, 0.0, atol=1e-9):
-        raise SolverError("dQ must have zero row sums (generator derivative)")
-    n = chain.n_states
     # Solve x Q = -pi dQ with the normalisation Σx = 0, via the same
-    # replaced-column trick as the steady-state solver (transposed).
-    A = chain.Q.transpose().tocsr(copy=True).tolil()
-    A[n - 1, :] = np.ones(n)
-    b = -(pi @ dQ)
-    b = np.asarray(b).ravel()
-    b[n - 1] = 0.0  # Σ dπ = 0
-    x = spla.spsolve(A.tocsc(), b)
-    return np.asarray(x).ravel()
+    # replaced-row system as the steady-state solver.
+    lu = spla.splu(augmented_system(chain.Q))
+    n = chain.n_states
+
+    def derivative(dQ: sp.spmatrix) -> np.ndarray:
+        dQ = sp.csr_matrix(dQ)
+        if dQ.shape != (n, n):
+            raise SolverError(f"dQ shape {dQ.shape} does not match the generator")
+        row_sums = np.asarray(dQ.sum(axis=1)).ravel()
+        if not np.allclose(row_sums, 0.0, atol=1e-9):
+            raise SolverError("dQ must have zero row sums (generator derivative)")
+        b = np.asarray(-(pi @ dQ)).ravel()
+        b[n - 1] = 0.0  # Σ dπ = 0
+        return lu.solve(b)
+
+    return derivative
 
 
 def measure_sensitivity(
@@ -72,5 +84,3 @@ def measure_sensitivity(
     if d_rewards is not None:
         value += float(pi @ np.asarray(d_rewards, dtype=float))
     return value
-
-

@@ -33,18 +33,19 @@ All methods require an irreducible chain; hand a reducible one to
 :func:`steady_state` and you get a :class:`SolverError` naming the
 offending structure (use :meth:`CTMC.bottom_sccs` to analyse further).
 
-Every solver callable takes ``(chain, tol, max_iterations)`` plus an
-optional fourth ``options`` mapping carrying per-attempt hints
-(``x0``, ``ilu_drop_tol``, ``ilu_fill_factor``) — the retry layer of
-:mod:`repro.resilience.fallback` uses these to perturb the starting
-vector and relax the preconditioner between attempts.  The pseudo
-method ``"fallback"`` routes through that fallback chain.
+Every solver callable takes ``(chain, tol, max_iterations, options)``;
+``options`` (possibly ``None``) carries per-attempt hints (``x0``,
+``ilu_drop_tol``, ``ilu_fill_factor``) that the retry layer of
+:mod:`repro.resilience.fallback` uses between attempts.  The pseudo
+method ``"fallback"`` routes through that fallback chain.  Both paths
+share one prelude (:func:`solve_recurrent`) and one checked attempt
+(:func:`certified`), so every returned π is certified by ``‖πQ‖∞``.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable, Mapping
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -60,6 +61,8 @@ __all__ = ["steady_state", "SOLVERS"]
 
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAXITER = 200_000
+#: Certificate of every returned π: ‖πQ‖∞ ≤ RESIDUAL_TOL · max(1, max exit rate).
+RESIDUAL_TOL = 1e-6
 #: Certificate of a lumped ``direct`` solve: ‖πQ‖∞ on the full chain,
 #: relative to the largest exit rate, must not exceed this.
 LUMPED_RESIDUAL = 1e-12
@@ -78,7 +81,8 @@ def steady_state(
 ) -> np.ndarray:
     """The stationary distribution π of a CTMC.
 
-    Returns a dense probability vector of length ``chain.n_states``.
+    Returns a dense probability vector of length ``chain.n_states``
+    that passed :func:`certified`; a π above the bound raises.
 
     ``reducible`` selects the policy for chains that are not
     irreducible: ``"error"`` (the default) raises; ``"bscc"`` solves on
@@ -99,10 +103,8 @@ def steady_state(
     when you also want the per-attempt diagnostics record.
 
     ``solver_options`` forwards per-attempt hints (``x0``,
-    ``ilu_drop_tol``, ``ilu_fill_factor``) to solvers that accept them.
+    ``ilu_drop_tol``, ``ilu_fill_factor``) to the solver.
     """
-    if reducible not in ("error", "bscc"):
-        raise SolverError(f"unknown reducible policy {reducible!r}")
     if method == "fallback" or policy is not None:
         from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
 
@@ -125,37 +127,78 @@ def steady_state(
         raise SolverError(
             f"unknown steady-state method {method!r}; choose from {sorted(SOLVERS)}"
         ) from None
+    tracer = get_tracer()
+
+    def solve(sub: CTMC) -> np.ndarray:
+        with tracer.span("ctmc.solve", method=method, states=sub.n_states) as sp:
+            pi, residual = certified(
+                lambda: _normalise(solver(sub, tol, max_iterations, solver_options), method),
+                partial(balance_residual, sub), residual_bound(sub),
+            )
+            sp.set(residual=residual)
+        get_metrics().gauge("residual").set(residual)
+        return pi
+
+    return solve_recurrent(chain, solve, check_irreducible=check_irreducible,
+                           reducible=reducible)
+
+
+def solve_recurrent(chain: CTMC, solve: Callable[[CTMC], np.ndarray], *,
+                    check_irreducible: bool = True,
+                    reducible: str = "error") -> np.ndarray:
+    """The prelude of every steady-state solve: run ``solve`` on an
+    irreducible chain, or (``reducible="bscc"``) on the unique bottom
+    SCC and lift its π back with zeros on the transient states."""
+    if reducible not in ("error", "bscc"):
+        raise SolverError(f"unknown reducible policy {reducible!r}")
     if chain.n_states == 0:
-        raise SolverError("cannot solve an empty chain")
+        raise SolverError("cannot solve an empty chain").with_context(stage="solve")
     if chain.n_states == 1:
         return np.ones(1)
-    if check_irreducible and not chain.is_irreducible():
-        if reducible == "bscc":
-            bsccs = chain.bottom_sccs()
-            if len(bsccs) != 1:
-                raise SolverError(
-                    f"the chain has {len(bsccs)} bottom strongly connected "
-                    "components; the steady state depends on the initial state"
-                )
-            members = bsccs[0]
-            sub = chain.restricted_to(members)
-            pi_sub = steady_state(
-                sub, method, tol=tol, max_iterations=max_iterations,
-                check_irreducible=False, solver_options=solver_options,
-            )
-            pi = np.zeros(chain.n_states)
-            pi[members] = pi_sub
-            return pi
+    if not check_irreducible or chain.is_irreducible():
+        return solve(chain)
+    if reducible != "bscc":
         raise _irreducibility_failure(chain)
-    tracer = get_tracer()
-    with tracer.span("ctmc.solve", method=method, states=chain.n_states) as sp:
-        pi = _call_solver(solver, chain, tol, max_iterations, solver_options)
-        pi = _normalise(pi, method, tol)
-        if tracer.enabled:
-            residual = float(np.abs(chain.generator.rmatvec(pi)).max())
-            sp.set(residual=residual)
-            get_metrics().gauge("residual").set(residual)
+    bsccs = chain.bottom_sccs()
+    if len(bsccs) != 1:
+        raise SolverError(
+            f"the chain has {len(bsccs)} bottom strongly connected "
+            "components; the steady state depends on the initial state"
+        ).with_context(stage="solve")
+    members = bsccs[0]
+    pi = np.zeros(chain.n_states)
+    pi[members] = solve_recurrent(chain.restricted_to(members), solve,
+                                  check_irreducible=False)
     return pi
+
+
+class ResidualError(SolverError):
+    """A candidate whose residual (kept as ``residual``) misses its bound."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+def certified(solve: Callable[[], np.ndarray], residual: Callable[[np.ndarray], float],
+              bound: float, norm: str = "‖πQ‖∞") -> tuple[np.ndarray, float]:
+    """One checked attempt: ``(x, residual(x))`` for ``x = solve()``, or
+    :class:`ResidualError` unless the residual is finite and ≤ ``bound``."""
+    x = solve()
+    value = float(residual(x))
+    if not value <= bound:  # also rejects NaN
+        raise ResidualError(f"{norm} = {value:.3e} above bound {bound:.3e}", value)
+    return x, value
+
+
+def balance_residual(chain: CTMC, pi: np.ndarray) -> float:
+    """``‖πQ‖∞``: one SpMV on either generator backend."""
+    return float(np.abs(chain.generator.rmatvec(pi)).max())
+
+
+def residual_bound(chain: CTMC) -> float:
+    """:data:`RESIDUAL_TOL` scaled by ``max(1, largest exit rate)``."""
+    return RESIDUAL_TOL * max(1.0, chain.max_exit_rate())
 
 
 def _irreducibility_failure(chain: CTMC) -> SolverError:
@@ -172,34 +215,7 @@ def _irreducibility_failure(chain: CTMC) -> SolverError:
     ).with_context(stage="solve")
 
 
-def _call_solver(solver, chain: CTMC, tol: float, max_iterations: int,
-                 options: Mapping | None) -> np.ndarray:
-    """Invoke a solver callable, passing ``options`` only if it takes them.
-
-    Keeps third-party three-argument solvers registered in
-    :data:`SOLVERS` working while the built-in solvers (and the
-    fault-injection wrappers) accept the fourth ``options`` parameter.
-    """
-    if options is None:
-        return solver(chain, tol, max_iterations)
-    try:
-        sig = inspect.signature(solver)
-    except (TypeError, ValueError):
-        return solver(chain, tol, max_iterations)
-    params = list(sig.parameters.values())
-    variadic = any(
-        p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params
-    )
-    positional = [
-        p for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if variadic or len(positional) >= 4:
-        return solver(chain, tol, max_iterations, options)
-    return solver(chain, tol, max_iterations)
-
-
-def _normalise(pi: np.ndarray, method: str, tol: float) -> np.ndarray:
+def _normalise(pi: np.ndarray, method: str) -> np.ndarray:
     if not np.all(np.isfinite(pi)):
         raise SolverError(f"{method} solver produced non-finite probabilities")
     # Tiny negative round-off is expected from direct solves; anything
@@ -237,7 +253,7 @@ def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
     if blocks < n:
         sizes = np.bincount(block_of).astype(float)
         pi = (_solve_lu(quotient(Q, block_of)) / sizes)[block_of]
-        residual = float(np.abs(chain.generator.rmatvec(pi)).max())
+        residual = balance_residual(chain, pi)
         bound = LUMPED_RESIDUAL * chain.max_exit_rate()
         if residual <= bound:
             tracer.annotate(blocks=blocks, lumped=True)
@@ -252,12 +268,43 @@ def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
 def _solve_lu(Q) -> np.ndarray:
     """Sparse LU on ``Qᵀ π = 0`` with one row replaced by ``Σπ = 1``."""
     n = Q.shape[0]
-    A = Q.transpose().tocsr(copy=True).tolil()
-    A[n - 1, :] = np.ones(n)
     b = np.zeros(n)
     b[n - 1] = 1.0
-    pi = spla.spsolve(A.tocsc(), b)
+    pi = spla.spsolve(augmented_system(Q), b)
     return np.asarray(pi).ravel()
+
+
+def augmented_system(Q):
+    """``Qᵀ`` with its last row replaced by ones, in CSC (shared by the
+    LU, the ILU preconditioner and :mod:`repro.ctmc.sensitivity`)."""
+    n = Q.shape[0]
+    A = Q.transpose().tocsr(copy=True).tolil()
+    A[n - 1, :] = np.ones(n)
+    return A.tocsc()
+
+
+class _Progress:
+    """One iterative solve's ``solver.convergence`` events, timed from
+    construction, and (:meth:`count`) its iteration and SpMV counters."""
+
+    def __init__(self, solver: str):
+        self.solver, self.events = solver, get_events()
+        self.enabled = self.events.enabled
+        self.start = time.perf_counter() if self.enabled else 0.0
+
+    def step(self, iteration: int, residual: float) -> None:
+        if self.enabled:
+            self.events.emit(
+                "solver.convergence", solver=self.solver,
+                iteration=iteration, residual=float(residual),
+                elapsed_s=round(time.perf_counter() - self.start, 9),
+            )
+
+    @staticmethod
+    def count(iterations: int) -> None:
+        metrics = get_metrics()
+        metrics.counter("solver_iterations").inc(iterations)
+        metrics.counter("spmv_count").inc(iterations)
 
 
 _KRYLOV_FNS = {
@@ -278,9 +325,7 @@ def _krylov(name: str) -> Callable[..., np.ndarray]:
         b = np.zeros(n)
         b[n - 1] = 1.0
         if chain.materialized:
-            A = chain.Q.transpose().tocsr(copy=True).tolil()
-            A[n - 1, :] = np.ones(n)
-            A = A.tocsc()
+            A = augmented_system(chain.Q)
             try:
                 ilu = spla.spilu(
                     A,
@@ -315,25 +360,17 @@ def _krylov(name: str) -> Callable[..., np.ndarray]:
         x0 = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
         fn = _KRYLOV_FNS[name]
         iterations = [0]
-        events = get_events()
-        start = time.perf_counter() if events.enabled else 0.0
+        progress = _Progress(name)
 
         def count_iteration(arg):
             iterations[0] += 1
-            if events.enabled:
+            if progress.enabled:
                 # gmres (legacy callback) hands us the preconditioned
                 # residual norm directly; bicgstab/lgmres hand the
                 # iterate, so the true residual costs one extra SpMV —
                 # paid only while an event stream is live.
-                if name == "gmres":
-                    residual = float(arg)
-                else:
-                    residual = float(np.abs(b - A @ np.asarray(arg).ravel()).max())
-                events.emit(
-                    "solver.convergence", solver=name,
-                    iteration=iterations[0], residual=residual,
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
+                progress.step(iterations[0], arg if name == "gmres" else
+                              np.abs(b - A @ np.asarray(arg).ravel()).max())
 
         kwargs = {"rtol": max(tol, 1e-12), "maxiter": max_iterations, "M": M,
                   "x0": x0, "callback": count_iteration}
@@ -341,19 +378,12 @@ def _krylov(name: str) -> Callable[..., np.ndarray]:
             kwargs["restart"] = min(50, n)
             kwargs["callback_type"] = "legacy"
         pi, info = fn(A, b, **kwargs)
-        if events.enabled and iterations[0] == 0:
+        if progress.enabled and iterations[0] == 0:
             # scipy skips the callback when x0 already satisfies the
             # tolerance; record the solve anyway so every Krylov call
             # leaves at least one convergence event behind.
-            residual = float(np.abs(b - A @ np.asarray(pi).ravel()).max())
-            events.emit(
-                "solver.convergence", solver=name, iteration=0,
-                residual=residual,
-                elapsed_s=round(time.perf_counter() - start, 9),
-            )
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(iterations[0])
-        metrics.counter("spmv_count").inc(iterations[0])
+            progress.step(0, np.abs(b - A @ np.asarray(pi).ravel()).max())
+        _Progress.count(iterations[0])
         if info != 0:
             raise SolverError(f"{name} failed to converge (info={info})")
         return np.asarray(pi).ravel()
@@ -375,27 +405,19 @@ def _solve_power(chain: CTMC, tol: float, max_iterations: int,
     pi = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    events = get_events()
-    start = time.perf_counter() if events.enabled else 0.0
+    progress = _Progress("power")
     it = 0
     try:
         for it in range(1, max_iterations + 1):
             nxt = pi + op.rmatvec(pi) / lam
             nxt /= nxt.sum()
             delta = np.abs(nxt - pi).max()
-            if events.enabled:
-                events.emit(
-                    "solver.convergence", solver="power",
-                    iteration=it, residual=float(delta),
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
+            progress.step(it, delta)
             if delta < tol:
                 return nxt
             pi = nxt
     finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(it)
-        metrics.counter("spmv_count").inc(it)
+        _Progress.count(it)
     raise SolverError(f"power iteration did not converge in {max_iterations} steps")
 
 
@@ -415,8 +437,7 @@ def _solve_gauss_seidel(chain: CTMC, tol: float, max_iterations: int,
     if np.any(diag == 0.0):
         raise SolverError("stationary iteration requires every state to have an exit rate")
     pi = np.full(n, 1.0 / n)
-    events = get_events()
-    start = time.perf_counter() if events.enabled else 0.0
+    progress = _Progress("gauss_seidel")
     sweeps = 0
     try:
         for sweeps in range(1, max_iterations + 1):
@@ -436,18 +457,11 @@ def _solve_gauss_seidel(chain: CTMC, tol: float, max_iterations: int,
             total = pi.sum()
             if total > 0:
                 pi /= total
-            if events.enabled:
-                events.emit(
-                    "solver.convergence", solver="gauss_seidel",
-                    iteration=sweeps, residual=float(max_delta),
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
+            progress.step(sweeps, max_delta)
             if max_delta < tol:
                 return pi
     finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(sweeps)
-        metrics.counter("spmv_count").inc(sweeps)
+        _Progress.count(sweeps)
     raise SolverError(
         f"gauss_seidel did not converge in {max_iterations} sweeps"
     )
@@ -471,8 +485,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     if np.any(exits == 0.0):
         raise SolverError("stationary iteration requires every state to have an exit rate")
     pi = np.full(n, 1.0 / n)
-    events = get_events()
-    start = time.perf_counter() if events.enabled else 0.0
+    progress = _Progress("jacobi")
     sweeps = 0
     try:
         for sweeps in range(1, max_iterations + 1):
@@ -483,18 +496,11 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
             total = pi.sum()
             if total > 0:
                 pi /= total
-            if events.enabled:
-                events.emit(
-                    "solver.convergence", solver="jacobi",
-                    iteration=sweeps, residual=max_delta,
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
+            progress.step(sweeps, max_delta)
             if max_delta < tol:
                 return pi
     finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(sweeps)
-        metrics.counter("spmv_count").inc(sweeps)
+        _Progress.count(sweeps)
     raise SolverError(
         f"jacobi did not converge in {max_iterations} sweeps"
     )

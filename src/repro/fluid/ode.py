@@ -17,19 +17,20 @@ are found through an ordered fallback chain in the style of
 * ``damped`` — a conservative explicit Euler fixed-point iteration,
   the always-converging-slowly safety net.
 
-Every attempt is recorded in a
+The chain runs on the CTMC fallback chain's own attempt loop,
+:func:`repro.resilience.fallback.run_policy`: every attempt is a
+``solve.attempt`` span and an entry of a
 :class:`~repro.resilience.fallback.SolveDiagnostics`, and a candidate
-is only accepted if ``‖F(x)‖∞`` passes a scale-aware residual bound —
-the same trust-but-verify discipline as the CTMC chain.  Progress is
-observable as ``fluid.step`` events (sampled per RHS evaluation batch)
-under a ``fluid.solve`` span, and :func:`analyse_fluid` caches the
-solved vector under the model's :class:`~repro.core.keys.DerivationKey`
-with variant ``fluid`` so batch reruns skip the solve entirely.
+is only accepted if ``‖F(x)‖∞`` passes the fixed, scale-aware bound
+built from :data:`RESIDUAL_TOL`.  Progress is observable as
+``fluid.step`` events (sampled per RHS evaluation batch) under a
+``fluid.solve`` span, and :func:`analyse_fluid` caches the solved
+vector under the model's :class:`~repro.core.keys.DerivationKey` with
+variant ``fluid`` so batch reruns skip the solve entirely; whichever
+method published it, a cached vector meets the same bound.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -37,12 +38,17 @@ from repro.exceptions import SolverError
 from repro.fluid.nvf import NumericalVectorForm, nvf_of_model
 from repro.obs import get_events, get_tracer
 from repro.pepa.environment import PepaModel
-from repro.resilience.fallback import SolveDiagnostics
+from repro.resilience.fallback import FallbackPolicy, SolveDiagnostics, run_policy
 
 __all__ = ["FluidAnalysis", "FLUID_METHODS", "steady_fluid", "analyse_fluid"]
 
 #: The default steady-state fallback chain, tried left to right.
 FLUID_METHODS = ("newton", "ode", "damped")
+
+#: A steady state is accepted when ‖F(x)‖∞ is at most this, scaled by
+#: ``max(1, rate scale) · max(1, N)``: flows scale with both the rate
+#: constants and the replica mass.
+RESIDUAL_TOL = 1e-10
 
 #: Emit one ``fluid.step`` event per this many RHS evaluations.
 _STEP_EVERY = 200
@@ -119,12 +125,6 @@ class FluidAnalysis:
         if i < self.n_replica_states:
             return float(self.x[i]) / self.replicas
         return float(self.x[i])
-
-
-def _residual_bound(nvf: NumericalVectorForm, n: int, tol: float) -> float:
-    """Scale-aware acceptance bound on ``‖F(x)‖∞``: flows scale with
-    both the rate constants and the replica mass."""
-    return tol * max(1.0, nvf.rate_scale) * max(1.0, float(n))
 
 
 def _make_rhs(nvf: NumericalVectorForm, counter: dict):
@@ -297,66 +297,33 @@ def steady_fluid(
     n_replicas: int,
     *,
     methods: tuple[str, ...] | str = FLUID_METHODS,
-    residual_tol: float = 1e-10,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve the fluid steady state through the fallback chain.
 
     Returns ``(x, diagnostics)``; raises :class:`SolverError` (with the
     diagnostics attached) only when every method failed.
     """
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    unknown = [m for m in methods if m not in _METHOD_FNS]
-    if unknown or not methods:
-        raise SolverError(
-            f"unknown fluid method(s) {unknown} in {methods!r}; "
-            f"choose from {sorted(_METHOD_FNS)}"
-        )
-    bound = _residual_bound(nvf, n_replicas, residual_tol)
+    if not isinstance(methods, str):
+        methods = ",".join(methods)
+    policy = FallbackPolicy.parse(methods, retries=0)
+    policy.validate(_METHOD_FNS)
+    bound = RESIDUAL_TOL * max(1.0, nvf.rate_scale) * max(1.0, float(n_replicas))
     x0 = nvf.initial_vector(n_replicas)
     diag = SolveDiagnostics(n_states=nvf.dimension)
     counter = {"nfev": 0}
-    start = time.monotonic()
-    tracer = get_tracer()
-    with tracer.span("fluid.solve", dimension=nvf.dimension,
-                     replicas=n_replicas, methods=",".join(methods)) as span:
-        for method in methods:
-            t0 = time.monotonic()
-            try:
-                x = _METHOD_FNS[method](nvf, x0, n_replicas, bound, counter)
-            except SolverError as exc:
-                diag.record(method, 1, "failed", time.monotonic() - t0,
-                            detail=str(exc))
-                continue
-            except Exception as exc:  # noqa: BLE001 — any back-end blow-up
-                diag.record(method, 1, "error", time.monotonic() - t0,
-                            detail=f"{type(exc).__name__}: {exc}")
-                continue
-            residual = float(np.abs(nvf.vector_field(x)).max())
-            if not np.isfinite(residual) or residual > bound:
-                diag.record(
-                    method, 1, "bad-residual", time.monotonic() - t0,
-                    residual=residual,
-                    detail=f"‖F(x)‖∞ = {residual:.3e} above bound {bound:.3e}",
-                )
-                continue
-            diag.record(method, 1, "converged", time.monotonic() - t0,
-                        residual=residual)
-            diag.method = method
-            diag.elapsed = time.monotonic() - start
-            span.set(solved_by=method, residual=residual, nfev=counter["nfev"])
-            return x, diag
-        diag.elapsed = time.monotonic() - start
-        span.set(solved_by="none", nfev=counter["nfev"])
-        failures = "; ".join(
-            f"{a.method}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
-            for a in diag.attempts
-        )
-        exc = SolverError(
-            f"all {len(methods)} fluid method(s) failed: {failures}"
-        ).with_context(stage="fluid.solve")
-        exc.diagnostics = diag
-        raise exc
+    with get_tracer().span("fluid.solve", dimension=nvf.dimension,
+                           replicas=n_replicas, methods=",".join(policy.methods)) as span:
+        try:
+            x, residual = run_policy(
+                policy,
+                lambda method, _k, _info: _METHOD_FNS[method](nvf, x0, n_replicas, bound, counter),
+                lambda x: float(np.abs(nvf.vector_field(x)).max()), bound,
+                diag=diag, label="fluid", stage="fluid.solve", norm="‖F(x)‖∞",
+            )
+            span.set(residual=residual)
+        finally:
+            span.set(solved_by=diag.method or "none", nfev=counter["nfev"])
+    return x, diag
 
 
 def trajectory(
@@ -391,7 +358,6 @@ def analyse_fluid(
     *,
     replicas: int | None = None,
     methods: tuple[str, ...] | str = FLUID_METHODS,
-    residual_tol: float = 1e-10,
 ) -> FluidAnalysis:
     """Compile the model's NVF and solve its fluid steady state.
 
@@ -426,7 +392,7 @@ def analyse_fluid(
             return analysis
 
     nvf, _shape, n = nvf_of_model(model, replicas)
-    x, diag = steady_fluid(nvf, n, methods=methods, residual_tol=residual_tol)
+    x, diag = steady_fluid(nvf, n, methods=methods)
     throughputs = nvf.action_flows(x)
     analysis = FluidAnalysis(
         nvf.names, nvf.n_replica_states, n, x, throughputs,

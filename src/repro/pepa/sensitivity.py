@@ -15,7 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.sensitivity import measure_sensitivity
+from repro.ctmc.sensitivity import stationary_derivatives
+from repro.ctmc.steady import steady_state
 from repro.exceptions import SolverError
 from repro.pepa.statespace import StateSpace
 
@@ -50,23 +51,34 @@ def throughput_sensitivity(
     When ``measured == perturbed`` the reward vector itself scales, so
     the product-rule term ``π·r`` is added.
     """
-    if measured not in chain.action_rates:
-        raise SolverError(f"chain performs no action {measured!r}")
-    if perturbed not in chain.action_rates:
-        raise SolverError(f"chain performs no action {perturbed!r}")
-    dQ = action_generator_derivative(space, perturbed)
-    rewards = chain.action_rates[measured]
-    d_rewards = rewards if measured == perturbed else None
-    return measure_sensitivity(chain, dQ, rewards, d_rewards, pi)
+    return _sensitivities(space, chain, measured, (perturbed,), pi)[perturbed]
 
 
 def sensitivity_profile(
     space: StateSpace, chain: CTMC, measured: str, pi: np.ndarray | None = None
 ) -> dict[str, float]:
     """The full tuning guide: sensitivity of one measure to *every*
-    action's rate scale, sorted by absolute impact (largest first)."""
-    profile = {
-        action: throughput_sensitivity(space, chain, measured, action, pi)
-        for action in chain.action_rates
-    }
+    action's rate scale, sorted by absolute impact (largest first).
+    The augmented system is factorised once for all actions."""
+    profile = _sensitivities(space, chain, measured, tuple(chain.action_rates), pi)
     return dict(sorted(profile.items(), key=lambda kv: -abs(kv[1])))
+
+
+def _sensitivities(space: StateSpace, chain: CTMC, measured: str,
+                   perturbed: tuple[str, ...], pi: np.ndarray | None) -> dict[str, float]:
+    """``throughput_sensitivity`` for each of ``perturbed``, sharing
+    one steady state and one factorisation."""
+    for action in (measured, *perturbed):
+        if action not in chain.action_rates:
+            raise SolverError(f"chain performs no action {action!r}")
+    if pi is None:
+        pi = steady_state(chain)
+    derivative = stationary_derivatives(chain, pi)
+    rewards = np.asarray(chain.action_rates[measured], dtype=float)
+    profile = {}
+    for action in perturbed:
+        value = float(derivative(action_generator_derivative(space, action)) @ rewards)
+        if action == measured:
+            value += float(pi @ rewards)
+        profile[action] = value
+    return profile

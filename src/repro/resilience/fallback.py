@@ -11,24 +11,30 @@ iterative methods get bounded retry-with-backoff (perturbed starting
 vector, relaxed ILU preconditioner) before the chain moves on.  Every
 attempt — successful or not — is recorded in a structured
 :class:`SolveDiagnostics`, and a converged result is only accepted if
-its balance-equation residual ``‖πQ‖∞`` passes a scale-aware sanity
-check, so an iterative method that silently stagnated cannot hand back
-a wrong answer.
+its residual passes :func:`repro.ctmc.steady.certified`, so a method
+that silently stagnated cannot hand back a wrong answer.  The loop,
+:func:`run_policy`, takes the attempt and residual functions, so the
+fluid chain of :mod:`repro.fluid.ode` runs on it too.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.ctmc.chain import CTMC
 from repro.ctmc.steady import (
     SOLVERS,
-    _call_solver,
-    _irreducibility_failure,
+    ResidualError,
     _normalise,
+    balance_residual,
+    certified,
+    residual_bound,
+    solve_recurrent,
 )
 from repro.exceptions import SolverError
 from repro.obs import get_metrics, get_tracer
@@ -40,6 +46,7 @@ __all__ = [
     "FallbackPolicy",
     "SolveDiagnostics",
     "ITERATIVE_METHODS",
+    "run_policy",
     "solve_with_fallback",
 ]
 
@@ -50,6 +57,9 @@ ITERATIVE_METHODS = frozenset(
     {"gmres", "bicgstab", "lgmres", "power", "gauss_seidel", "jacobi"}
 )
 
+#: Relative magnitude of the starting-vector perturbation per retry.
+_PERTURBATION = 1e-3
+
 
 @dataclass(frozen=True)
 class FallbackPolicy:
@@ -58,11 +68,12 @@ class FallbackPolicy:
     ``methods`` are tried left to right; each iterative method gets up
     to ``1 + retries`` attempts with exponential ``backoff`` sleeps and
     per-retry perturbation of the starting vector (relative magnitude
-    ``perturbation``) plus a 100×-per-retry relaxed ILU ``drop_tol``.
+    1e-3 per retry) plus a 100×-per-retry relaxed ILU ``drop_tol``.
     ``deadline`` bounds the whole chain in wall-clock seconds
     (cooperatively — a running scipy kernel is never pre-empted).
     A candidate answer is rejected unless its residual ``‖πQ‖∞`` is
-    below ``residual_tol`` scaled by the chain's largest exit rate.
+    within :data:`repro.ctmc.steady.RESIDUAL_TOL` scaled by the chain's
+    largest exit rate.
     """
 
     methods: tuple[str, ...] = ("direct", "gmres", "bicgstab", "power")
@@ -71,8 +82,6 @@ class FallbackPolicy:
     deadline: float | None = None
     tol: float = 1e-12
     max_iterations: int = 200_000
-    residual_tol: float = 1e-6
-    perturbation: float = 1e-3
 
     @classmethod
     def parse(cls, spec: str, **overrides) -> "FallbackPolicy":
@@ -188,14 +197,14 @@ class SolveDiagnostics:
         )
 
 
-def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict | None:
+def _retry_options(n: int, attempt: int) -> dict:
     """Per-attempt solver hints: none on the first try, a perturbed
     start vector and a relaxed preconditioner on retries."""
     if attempt == 1:
-        return None
+        return {}
     rng = np.random.default_rng(7919 * attempt + n)
     x0 = np.full(n, 1.0 / n) * (
-        1.0 + policy.perturbation * attempt * rng.standard_normal(n)
+        1.0 + _PERTURBATION * attempt * rng.standard_normal(n)
     )
     x0 = np.abs(x0)
     x0 /= x0.sum()
@@ -204,6 +213,89 @@ def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict | None:
         "ilu_drop_tol": 1e-5 * 100.0 ** (attempt - 1),
         "ilu_fill_factor": 20,
     }
+
+
+def run_policy(
+    policy: FallbackPolicy,
+    attempt: Callable[[str, int, dict], np.ndarray],
+    residual: Callable[[np.ndarray], float],
+    bound: float,
+    *,
+    diag: SolveDiagnostics,
+    label: str = "fallback",
+    stage: str = "solve",
+    norm: str = "‖πQ‖∞",
+) -> tuple[np.ndarray, float]:
+    """The one attempt loop: try ``policy``'s methods in order.
+
+    ``attempt(method, k, info)`` makes the ``k``-th try of ``method``
+    and may fill ``info`` (e.g. the Krylov ``"preconditioner"``); each
+    candidate is checked by :func:`~repro.ctmc.steady.certified`, opens
+    a ``solve.attempt`` span and is recorded in ``diag``.  Returns
+    ``(x, residual)`` of the first certified candidate, else raises
+    :class:`SolverError` with ``diag`` as ``exc.diagnostics``.
+    """
+    deadline = Deadline.after(policy.deadline)
+    start = time.monotonic()
+    tracer = get_tracer()
+    for method in policy.methods:
+        for k in range(1, policy.attempts_for(method) + 1):
+            if deadline.expired:
+                diag.record(
+                    method, k, "deadline", 0.0,
+                    detail=f"skipped: {policy.deadline:g}s budget exhausted",
+                )
+                diag.elapsed = time.monotonic() - start
+                raise _failure(
+                    f"steady-state deadline of {policy.deadline:g}s exhausted "
+                    f"after {len(diag.attempts)} attempt(s); {diag.summary()}",
+                    diag, stage)
+            if k > 1 and policy.backoff > 0:
+                time.sleep(
+                    min(policy.backoff * 2.0 ** (k - 2),
+                        max(deadline.remaining(), 0.0))
+                )
+            info: dict = {}
+            value, detail = None, ""
+            t0 = time.monotonic()
+            with tracer.span("solve.attempt", method=method, attempt=k) as asp:
+                try:
+                    x, value = certified(lambda: attempt(method, k, info),
+                                         residual, bound, norm)
+                except ResidualError as exc:
+                    outcome, value, detail = "bad-residual", exc.residual, str(exc)
+                    asp.set(outcome=outcome, residual=value)
+                except SolverError as exc:
+                    outcome, detail = "failed", str(exc)
+                    asp.set(outcome=outcome, error=type(exc).__name__)
+                except Exception as exc:  # noqa: BLE001 — any back-end blow-up
+                    outcome, detail = "error", f"{type(exc).__name__}: {exc}"
+                    asp.set(outcome=outcome, error=type(exc).__name__)
+                else:
+                    outcome = "converged"
+                    asp.set(outcome=outcome, residual=value)
+            diag.record(method, k, outcome, time.monotonic() - t0,
+                        residual=value, detail=detail,
+                        preconditioner=info.get("preconditioner", ""))
+            if outcome == "converged":
+                diag.method = method
+                diag.elapsed = time.monotonic() - start
+                return x, value
+    diag.elapsed = time.monotonic() - start
+    failures = "; ".join(
+        f"{a.method}#{a.attempt}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
+        for a in diag.attempts
+    )
+    raise _failure(
+        f"all {len(policy.methods)} {label} method(s) failed "
+        f"({len(diag.attempts)} attempts): {failures}", diag, stage)
+
+
+def _failure(message: str, diag: SolveDiagnostics, stage: str) -> SolverError:
+    """The aggregate error of a failed :func:`run_policy`."""
+    exc = SolverError(message).with_context(stage=stage, attempt=len(diag.attempts))
+    exc.diagnostics = diag
+    return exc
 
 
 def solve_with_fallback(
@@ -220,9 +312,11 @@ def solve_with_fallback(
     :class:`FallbackPolicy`, a comma-separated method list, or ``None``
     for the default ``direct → gmres → bicgstab → power`` chain.
     ``reducible`` has the same semantics as in
-    :func:`repro.ctmc.steady.steady_state`.  ``solvers`` overrides the
-    registry (tests use this); entries are looked up per attempt so
-    fault-injection wrappers installed mid-run are honoured.
+    :func:`repro.ctmc.steady.steady_state`, whose prelude
+    (:func:`~repro.ctmc.steady.solve_recurrent`) this shares.
+    ``solvers`` overrides the registry (tests use this); entries are
+    looked up per attempt so fault-injection wrappers installed mid-run
+    are honoured.
 
     Raises :class:`SolverError` — with the full :class:`SolveDiagnostics`
     attached as ``exc.diagnostics`` and summarised in ``exc.context`` —
@@ -235,129 +329,31 @@ def solve_with_fallback(
         policy = FallbackPolicy()
     registry = SOLVERS if solvers is None else solvers
     policy.validate(registry)
-    if reducible not in ("error", "bscc"):
-        raise SolverError(f"unknown reducible policy {reducible!r}")
-
     diag = SolveDiagnostics(n_states=chain.n_states)
-    if chain.n_states == 0:
-        raise SolverError("cannot solve an empty chain").with_context(stage="solve")
-    if chain.n_states == 1:
-        diag.method = "trivial"
-        return np.ones(1), diag
-
-    if check_irreducible and not chain.is_irreducible():
-        if reducible != "bscc":
-            raise _irreducibility_failure(chain)
-        bsccs = chain.bottom_sccs()
-        if len(bsccs) != 1:
-            raise SolverError(
-                f"the chain has {len(bsccs)} bottom strongly connected "
-                "components; the steady state depends on the initial state"
-            ).with_context(stage="solve")
-        members = bsccs[0]
-        pi_sub, diag = solve_with_fallback(
-            chain.restricted_to(members), policy,
-            check_irreducible=False, solvers=solvers,
-        )
-        pi = np.zeros(chain.n_states)
-        pi[members] = pi_sub
-        diag.n_states = chain.n_states
-        return pi, diag
-
-    deadline = Deadline.after(policy.deadline)
-    start = time.monotonic()
-    # max |diag(Q)| is the maximum exit rate — available on either
-    # backend without materialising the generator.
-    rate_scale = max(1.0, chain.max_exit_rate())
-    residual_bound = policy.residual_tol * rate_scale
-
     tracer = get_tracer()
-    with tracer.span("ctmc.solve.fallback", states=chain.n_states,
-                     methods=",".join(policy.methods)) as fsp:
-        for method in policy.methods:
-            for attempt in range(1, policy.attempts_for(method) + 1):
-                if deadline.expired:
-                    diag.record(
-                        method, attempt, "deadline", 0.0,
-                        detail=f"skipped: {policy.deadline:g}s budget exhausted",
-                    )
-                    diag.elapsed = time.monotonic() - start
-                    _annotate_span(fsp, diag)
-                    exc = SolverError(
-                        f"steady-state deadline of {policy.deadline:g}s exhausted "
-                        f"after {len(diag.attempts)} attempt(s); {diag.summary()}"
-                    ).with_context(stage="solve", attempt=len(diag.attempts))
-                    exc.diagnostics = diag
-                    raise exc
-                if attempt > 1 and policy.backoff > 0:
-                    time.sleep(
-                        min(policy.backoff * 2.0 ** (attempt - 2),
-                            max(deadline.remaining(), 0.0))
-                    )
-                options = dict(_retry_options(chain.n_states, attempt, policy) or {})
-                # Solvers report back through this dict — currently the
-                # Krylov methods record which preconditioner path ran.
-                info: dict = {}
-                options["info"] = info
-                t0 = time.monotonic()
-                with tracer.span("solve.attempt", method=method,
-                                 attempt=attempt) as asp:
-                    try:
-                        solver = registry[method]
-                        raw = _call_solver(
-                            solver, chain, policy.tol, policy.max_iterations, options
-                        )
-                        pi = _normalise(raw, method, policy.tol)
-                        elapsed = time.monotonic() - t0
-                        residual = float(np.abs(chain.generator.rmatvec(pi)).max())
-                        preconditioner = info.get("preconditioner", "")
-                        if not np.isfinite(residual) or residual > residual_bound:
-                            diag.record(
-                                method, attempt, "bad-residual", elapsed,
-                                residual=residual,
-                                detail=f"‖πQ‖∞ = {residual:.3e} above bound {residual_bound:.3e}",
-                                preconditioner=preconditioner,
-                            )
-                            asp.set(outcome="bad-residual", residual=residual)
-                            continue
-                        diag.record(method, attempt, "converged", elapsed,
-                                    residual=residual,
-                                    preconditioner=preconditioner)
-                        diag.method = method
-                        diag.elapsed = time.monotonic() - start
-                        asp.set(outcome="converged", residual=residual)
-                        _annotate_span(fsp, diag)
-                        get_metrics().gauge("residual").set(residual)
-                        return pi, diag
-                    except SolverError as exc:
-                        diag.record(method, attempt, "failed",
-                                    time.monotonic() - t0, detail=str(exc),
-                                    preconditioner=info.get("preconditioner", ""))
-                        asp.set(outcome="failed", error=type(exc).__name__)
-                    except Exception as exc:  # noqa: BLE001 — any back-end blow-up
-                        diag.record(method, attempt, "error", time.monotonic() - t0,
-                                    detail=f"{type(exc).__name__}: {exc}",
-                                    preconditioner=info.get("preconditioner", ""))
-                        asp.set(outcome="error", error=type(exc).__name__)
 
-        diag.elapsed = time.monotonic() - start
-        _annotate_span(fsp, diag)
-        failures = "; ".join(
-            f"{a.method}#{a.attempt}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
-            for a in diag.attempts
-        )
-        exc = SolverError(
-            f"all {len(policy.methods)} fallback method(s) failed "
-            f"({len(diag.attempts)} attempts): {failures}"
-        ).with_context(stage="solve", attempt=len(diag.attempts))
-        exc.diagnostics = diag
-        raise exc
+    def solve(sub: CTMC) -> np.ndarray:
+        def attempt(method: str, k: int, info: dict) -> np.ndarray:
+            # Solvers report back through ``info`` — currently the
+            # Krylov methods record which preconditioner path ran.
+            options = {**_retry_options(sub.n_states, k), "info": info}
+            raw = registry[method](sub, policy.tol, policy.max_iterations, options)
+            return _normalise(raw, method)
 
+        with tracer.span("ctmc.solve.fallback", states=sub.n_states,
+                         methods=",".join(policy.methods)) as span:
+            try:
+                pi, residual = run_policy(
+                    policy, attempt, partial(balance_residual, sub),
+                    residual_bound(sub), diag=diag,
+                )
+            finally:
+                span.set(attempts=len(diag.attempts), solved_by=diag.method or "none",
+                         diagnostics=diag.summary())
+        get_metrics().gauge("residual").set(residual)
+        return pi
 
-def _annotate_span(span, diag: SolveDiagnostics) -> None:
-    """Summarise a :class:`SolveDiagnostics` onto a fallback span."""
-    span.set(
-        attempts=len(diag.attempts),
-        solved_by=diag.method or "none",
-        diagnostics=diag.summary(),
-    )
+    pi = solve_recurrent(chain, solve, check_irreducible=check_irreducible,
+                         reducible=reducible)
+    diag.method = diag.method or "trivial"
+    return pi, diag

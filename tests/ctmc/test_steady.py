@@ -169,14 +169,13 @@ class TestNormalisationRejections:
     """Solvers returning garbage must be rejected by _normalise, never
     silently renormalised into a plausible-looking answer."""
 
-    def _with_fake_solver(self, vector_fn):
+    def _with_fake_solver(self, vector_fn, chain=None):
         def fake(chain, tol, max_iterations, options=None):
             return vector_fn(chain.n_states)
 
         SOLVERS["_fake"] = fake
         try:
-            chain = birth_death(3, 1.0, 2.0)
-            return steady_state(chain, "_fake")
+            return steady_state(chain or birth_death(3, 1.0, 2.0), "_fake")
         finally:
             del SOLVERS["_fake"]
 
@@ -202,14 +201,50 @@ class TestNormalisationRejections:
             self._with_fake_solver(np.zeros)
 
     def test_tiny_negative_roundoff_clipped(self):
+        # ρ = 1e-5: the last state's stationary mass is 1e-15, so a
+        # round-off -1e-12 there leaves the vector stationary up to
+        # round-off and it must pass the ‖πQ‖∞ certificate.
         def roundoff(n):
-            v = np.full(n, 1.0 / n)
-            v[0] = -1e-12  # direct-solve round-off territory
+            v = geometric_pi(n - 1, 1e-5)
+            v[-1] = -1e-12  # direct-solve round-off territory
             return v
 
-        pi = self._with_fake_solver(roundoff)
+        pi = self._with_fake_solver(roundoff, birth_death(3, 1e-5, 1.0))
         assert pi.min() >= 0.0
+        assert pi[-1] == 0.0
         assert math.isclose(pi.sum(), 1.0)
+
+    def test_non_stationary_vector_rejected_by_certificate(self):
+        """A registered solver that returns a wrong (uniform) vector
+        must not be reported: the single-method path certifies ‖πQ‖∞."""
+        with pytest.raises(SolverError, match=r"‖πQ‖∞ = .* above bound"):
+            self._with_fake_solver(lambda n: np.full(n, 1.0 / n))
+
+
+class TestCertificateObservability:
+    def test_residual_gauge_set_without_tracer(self):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        chain = birth_death(4, 1.0, 2.0)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            pi = steady_state(chain, "gmres")
+        residual = float(np.abs(chain.generator.rmatvec(pi)).max())
+        assert metrics.gauge("residual").value == residual <= 1e-6 * 2.0
+
+    def test_traced_solve_is_one_childless_span(self):
+        from repro.obs import Tracer, use_tracer
+
+        chain = birth_death(4, 1.0, 2.0)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            steady_state(chain, "direct")
+        spans = [s for root in tracer.roots for s in root.iter_spans()]
+        assert [s.name for s in spans] == ["ctmc.solve"]
+        attrs = spans[0].attributes
+        assert not spans[0].children
+        assert {"residual", "blocks", "lumped"} <= set(attrs)
+        assert attrs["residual"] <= 1e-6 * 2.0
 
 
 class TestPreconditionerFallback:

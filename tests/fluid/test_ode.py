@@ -150,6 +150,37 @@ class TestCachingAndEvents:
         assert a.cache_key != b.cache_key
         assert not math.isclose(a.occupancy("Reader"), b.occupancy("Reader"))
 
+    def test_cache_hit_after_damped_solve_meets_the_bound(self, tmp_path):
+        """The cache key ignores the method, so every method must meet
+        the same fixed bound: a vector published by the slow ``damped``
+        safety net is as good as a fresh newton solve."""
+        from repro.fluid.ode import RESIDUAL_TOL
+
+        model = client_server_family(2)
+        with use_cache(DerivationCache(tmp_path)):
+            analyse_fluid(model, replicas=1000, methods="damped")
+            hit = analyse_fluid(model, replicas=1000)
+        assert hit.nvf is None and hit.solver == "damped"
+        nvf, _, n = nvf_of_model(model, 1000)
+        bound = RESIDUAL_TOL * max(1.0, nvf.rate_scale) * n
+        assert np.abs(nvf.vector_field(hit.x)).max() <= bound
+        fresh, _ = steady_fluid(nvf, n)
+        np.testing.assert_allclose(hit.x, fresh, rtol=1e-6)
+
+    def test_fluid_attempts_are_spans_under_fluid_solve(self):
+        from repro.obs import Tracer, use_tracer
+
+        nvf, _, n = nvf_of_model(client_server_family(2), 100)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            steady_fluid(nvf, n, methods="newton,damped")
+        (root,) = tracer.roots
+        assert root.name == "fluid.solve"
+        assert root.attributes["solved_by"] == "newton"
+        assert [(c.name, c.attributes["outcome"]) for c in root.children] == [
+            ("solve.attempt", "converged")
+        ]
+
     def test_fluid_step_events_emitted(self):
         nvf, _, _ = nvf_of_model(client_server_family(2))
         events = EventStream()

@@ -111,3 +111,33 @@ class TestSensitivityProfile:
         for action, value in profile.items():
             assert value == pytest.approx(
                 throughput_sensitivity(space, chain, "switch_on", action))
+
+
+#: ``sensitivity_profile(space, chain, "request")`` of
+#: ``client_server_model(k)``, recorded when every action still
+#: refactorised the augmented system on its own; the shared
+#: factorisation must reproduce them bit for bit, in the same order.
+PINNED_PROFILES = {
+    2: [("think", 0.59025500559392), ("request", 0.33563519925928786),
+        ("response", 0.19212221750704064)],
+    3: [("think", 0.7419290657439448), ("request", 0.4802595155709346),
+        ("response", 0.36604671280276824)],
+    4: [("think", 0.8160249999999992), ("request", 0.6010999999999997),
+        ("response", 0.582875)],
+    5: [("response", 0.8306479318167537), ("think", 0.8306479318167532),
+        ("request", 0.6951242657340826)],
+    6: [("response", 1.095888127611984), ("think", 0.8040501550525279),
+        ("request", 0.7622220013140069)],
+    7: [("response", 1.3658855345975134), ("request", 0.8046810088694762),
+        ("think", 0.7522533945012102)],
+}
+
+
+@pytest.mark.parametrize("clients", sorted(PINNED_PROFILES))
+def test_profile_pinned_bit_for_bit(clients):
+    from repro.workloads import client_server_model
+
+    model = client_server_model(clients)
+    space = derive(model)
+    chain = ctmc_from_statespace(space, environment=model.environment)
+    assert list(sensitivity_profile(space, chain, "request").items()) == PINNED_PROFILES[clients]
